@@ -140,7 +140,8 @@ def _intervals_csv(named: list[tuple[str, IntervalSet]]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Command payloads: each returns (config, result, caveats, csv or None)
+# Command payloads: each returns (config, result, caveats, render_csv),
+# where render_csv builds the CSV text on demand, or is None
 # ----------------------------------------------------------------------
 
 def _spectrum_payload(lam: float, k: int, tol: float):
@@ -158,10 +159,9 @@ def _spectrum_payload(lam: float, k: int, tol: float):
         "sigma_k_plus_1": _interval_dict(sc.sigma_k1, caveats, "sigma_k_plus_1"),
         "cover": _interval_dict(sc.cover, caveats, "cover"),
     }
-    csv = _intervals_csv([("sigma_k", sc.sigma_k),
-                          ("sigma_k_plus_1", sc.sigma_k1),
-                          ("cover", sc.cover)])
-    return config, result, caveats, csv
+    return config, result, caveats, lambda: _intervals_csv(
+        [("sigma_k", sc.sigma_k), ("sigma_k_plus_1", sc.sigma_k1),
+         ("cover", sc.cover)])
 
 
 def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
@@ -231,8 +231,8 @@ def _sum_payload(lambda1: float, k: int, lambda2: float | None, tol: float):
         "gap": report.gap,
         "sum_cover": _interval_dict(report.sum_cover, caveats, "sum_cover"),
     }
-    csv = _intervals_csv([("sum_cover", report.sum_cover)])
-    return config, result, caveats, csv
+    return config, result, caveats, lambda: _intervals_csv(
+        [("sum_cover", report.sum_cover)])
 
 
 def _orbit_dict(info) -> dict:
@@ -291,8 +291,7 @@ def _ifs_cover_payload(ratios: tuple[float, ...], offsets: tuple[float, ...],
         "similarity_dim": sim,
         "cover": _interval_dict(cover, caveats, "cover"),
     }
-    csv = _intervals_csv([("cover", cover)])
-    return config, result, caveats, csv
+    return config, result, caveats, lambda: _intervals_csv([("cover", cover)])
 
 
 def _ifs_resonance_payload(r1: float, r2: float, qmax: int):
@@ -428,9 +427,9 @@ def _sweep_payload(command: str, start: float, stop: float, count: int,
               **{k: v for k, v in sorted(fixed.items())}}
     result = {"param": param_label, "values": values, "results": results}
     header, flatten = _SWEEP_CSV[command]
-    csv = _csv_table([param_label] + header,
-                     [[v] + flatten(r) for v, r in zip(values, results)])
-    return config, result, caveats, csv
+    return config, result, caveats, lambda: _csv_table(
+        [param_label] + header,
+        [[v] + flatten(r) for v, r in zip(values, results)])
 
 
 # ----------------------------------------------------------------------
@@ -623,14 +622,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"fibspec: invalid arguments: {exc}", file=sys.stderr)
         return 1
-    config, result, caveats, csv_text = payload
+    config, result, caveats, render_csv = payload
 
     if args.format == "csv":
-        if csv_text is None:
+        if render_csv is None:
             print("fibspec: csv output is only available for interval sets "
                   "and sweeps", file=sys.stderr)
             return 1
-        text = csv_text
+        text = render_csv()
     else:
         doc = {"command": args.command, "config": config, "result": result,
                "caveats": caveats, "runtime_ms": None}

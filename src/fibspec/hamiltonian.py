@@ -28,6 +28,17 @@ ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 #: Pairwise-sum spectra are capped at this many entries.
 SQUARE_SAMPLE_CAP = 4_000_000
 
+#: Bisection passes before ``eigenvalues`` reports unresolved indices.
+_MAX_PASSES = 200
+
+#: Fewest points one Sturm sweep of ``eigenvalues`` may count; the most is
+#: this or the matrix size, whichever is larger.
+_SWEEP_POINTS_MIN = 512
+
+#: ``count_below`` forms a - t once per distinct diagonal value a when the
+#: diagonal has at most this many.
+_SHARED_SHIFTS_MAX = 8
+
 
 @dataclass(frozen=True)
 class FibonacciPotential:
@@ -57,11 +68,6 @@ class FibonacciPotential:
         return self.lam * self.word(n_from, n_to).astype(float)
 
 
-def potential_values(p: FibonacciPotential, n_from: int, n_to: int) -> np.ndarray:
-    """The 0/1 potential word on an inclusive site range."""
-    return p.word(n_from, n_to)
-
-
 @dataclass(frozen=True)
 class TridiagonalMatrix:
     """Symmetric tridiagonal matrix with unit off-diagonal entries."""
@@ -81,26 +87,47 @@ class TridiagonalMatrix:
     def n(self) -> int:
         return int(self.diagonal.size)
 
-    @property
-    def offdiagonal(self) -> np.ndarray:
-        return np.ones(self.n - 1)
+    def _shifted_diagonal(self, t: np.ndarray):
+        """a_i - t for each site i in order.
+
+        The Fibonacci diagonal holds two values, so when it has few distinct
+        entries each a - t is formed once and shared by all sites holding a.
+        """
+        values, which = np.unique(self.diagonal, return_inverse=True)
+        if values.size > _SHARED_SHIFTS_MAX:
+            return (a - t for a in self.diagonal)
+        shifts = [v - t for v in values]
+        return (shifts[j] for j in which.tolist())
 
     def count_below(self, t: float | np.ndarray) -> int | np.ndarray:
         """Number of eigenvalues < t, via the Sturm pivot recursion.
 
         d_1 = a_1 - t,  d_{i+1} = (a_{i+1} - t) - 1/d_i; the count of
         negative pivots equals the eigenvalue count.  A zero pivot is
-        replaced by -1e-300 (the conventional signed-epsilon guard).
+        replaced by -1e-300 (the conventional signed-epsilon guard).  Each
+        entry of a vector ``t`` is counted independently of the others.
         """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        a = self.diagonal
-        d = a[0] - t_arr
-        d = np.where(d == 0.0, -1e-300, d)
-        count = (d < 0).astype(np.int64)
-        for i in range(1, self.n):
-            d = (a[i] - t_arr) - 1.0 / d
-            d = np.where(d == 0.0, -1e-300, d)
-            count += d < 0
+        d = np.empty_like(t_arr)
+        recip = np.zeros_like(t_arr)  # 1/d_0 := 0, so that d_1 = a_1 - t
+        negative = np.empty(t_arr.shape, dtype=bool)
+        # Negative pivots add up in bytes, flushed before they can wrap.
+        recent = np.zeros(t_arr.shape, dtype=np.uint8)
+        count = np.zeros(t_arr.shape, dtype=np.int64)
+        with np.errstate(divide="raise"):
+            for i, shift in enumerate(self._shifted_diagonal(t_arr), 1):
+                np.subtract(shift, recip, out=d)
+                try:
+                    np.divide(1.0, d, out=recip)
+                except FloatingPointError:  # some pivot is exactly zero
+                    d[d == 0.0] = -1e-300
+                    np.divide(1.0, d, out=recip)
+                np.less(d, 0.0, out=negative)
+                recent += negative.view(np.uint8)
+                if i % 255 == 0:
+                    count += recent
+                    recent[:] = 0
+        count += recent
         if np.ndim(t) == 0:
             return int(count[0])
         return count
@@ -114,30 +141,79 @@ def fibonacci_tridiagonal(lam: float, n: int, omega0: float = 0.0) -> Tridiagona
     return TridiagonalMatrix(pot.diagonal(1, n))
 
 
+def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+    """Bisection points ``depth`` levels below each bracket [lo, hi].
+
+    Row g holds the 2**depth - 1 midpoints below bracket g in heap order:
+    node j splits into the lower half 2j + 1 and the upper half 2j + 2.
+    Every point is formed by the same 0.5 * (lo + hi) recursion as plain
+    bisection, so it equals the point that bisection would reach.
+    """
+    lo = lo[:, None]
+    hi = hi[:, None]
+    levels = []
+    for _ in range(depth):
+        mid = 0.5 * (lo + hi)
+        levels.append(mid)
+        lo = np.stack([lo, mid], axis=2).reshape(len(lo), -1)
+        hi = np.stack([mid, hi], axis=2).reshape(len(hi), -1)
+    return np.concatenate(levels, axis=1)
+
+
 def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
     """All eigenvalues, ascending, each bracketed to width <= tol.
 
-    Bisection on the Sturm count runs for every index simultaneously.
-    If 200 halvings cannot reach ``tol`` (tolerance below the floating
-    floor, or a pathological cluster), the unresolved indices are
-    reported in an EigenvalueSeparationError.
+    Bisection on the Sturm count runs for every index simultaneously: each
+    pass halves every bracket at its midpoint, until all brackets are at
+    most ``tol`` wide.  If 200 passes cannot reach ``tol`` (tolerance below
+    the floating floor, or a pathological cluster), the unresolved indices
+    are reported in an EigenvalueSeparationError.
+
+    The Sturm counts are shared, after Barth, Martin and Wilkinson (1967).
+    Indices whose brackets coincide, as many do in the early passes, need
+    one count per pass between them.  And while the distinct brackets are
+    few, one sweep over the sites counts the midpoints of several passes
+    at once: the whole bisection tree a few levels below each bracket, at
+    most as many points as the matrix has sites, or 512 if that is more.
+    Each index then walks down its tree one level per pass.  A count
+    depends only on its own point, and the tree points are formed exactly
+    as the passes would form them, so the result is bit for bit that of
+    plain bisection, from far fewer sweeps and pivot updates.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and > 0")
     n = m.n
     radius = float(np.max(np.abs(m.diagonal))) + 2.0 + 1.0
     lo = np.full(n, -radius)
     hi = np.full(n, radius)
     ks = np.arange(n)
-    for _ in range(200):
+    levels_left = 0
+    for passes in range(_MAX_PASSES):
         if np.all(hi - lo <= tol):
             break
+        if levels_left == 0:
+            # Brackets stay sorted by index, so the distinct ones are runs.
+            new = np.ones(n, dtype=bool)
+            new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            bracket = np.cumsum(new) - 1
+            starts = np.flatnonzero(new)
+            # The deepest tree whose starts.size * (2**depth - 1) points
+            # fit, no deeper than the passes left to reach tol.
+            budget = max(n, _SWEEP_POINTS_MIN)
+            fits = (budget // starts.size + 1).bit_length() - 1
+            needed = math.log2(float(np.max(hi - lo))) - math.log2(tol)
+            levels_left = max(1, min(fits, math.ceil(needed),
+                                     _MAX_PASSES - passes))
+            tree = _midpoint_tree(lo[starts], hi[starts], levels_left)
+            counts = m.count_below(tree.ravel()).reshape(tree.shape)
+            node = np.zeros(n, dtype=np.intp)
         mid = 0.5 * (lo + hi)
-        c = m.count_below(mid)
         # eigenvalue k >= mid exactly when at most k eigenvalues lie below
-        go_up = c <= ks
+        go_up = counts[bracket, node] <= ks
         lo = np.where(go_up, mid, lo)
         hi = np.where(go_up, hi, mid)
+        node = 2 * node + 1 + go_up
+        levels_left -= 1
     width = hi - lo
     if np.any(width > tol):
         bad = np.flatnonzero(width > tol)

@@ -275,8 +275,8 @@ def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[IntervalS
         raise ValueError("coupling must be finite")
     if k_max < 0:
         raise ValueError("level must be >= 0")
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and > 0")
     window = IntervalSet([(-2.0 - lam - 1.0, 2.0 + lam + 1.0)])
     levels: list[IntervalSet] = []
     for k in range(min(k_max, 1) + 1):

@@ -80,6 +80,21 @@ def test_invalid_arguments_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--lambda", "5", "--n", "8"],
+    ["spectrum", "--lambda", "5", "--k", "3"],
+    ["dim", "--lambda", "5", "--k", "4"],
+    ["sum", "--lambda", "5", "--k", "4"],
+    ["sweep", "--command", "oracle", "--n", "8", "--start", "1", "--stop",
+     "2", "--count", "2"],
+], ids=lambda a: a[0])
+def test_non_finite_tol_exits_one(argv, tol, capsys):
+    assert cli.main(argv + ["--tol", tol]) == 1
+    err = capsys.readouterr().err
+    assert "fibspec: invalid arguments: tolerance must be finite" in err
+
+
 def test_numeric_failure_exit_two(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise BandIsolationError(20.0, 9, 54, 55)
@@ -103,6 +118,21 @@ def test_csv_for_interval_commands(capsys):
     assert lines[0] == "set,index,lo,hi"
     counts = sum(1 for ln in lines if ln.startswith("sigma_k,"))
     assert counts == 5  # F_4 bands at level 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda", "5", "--k", "4"],
+    ["sum", "--lambda", "8", "--k", "6"],
+    ["ifs", "--ratios", "0.25,0.25", "--offsets", "0,0.75", "--depth", "4"],
+    ["sweep", "--command", "periodic", "--start", "0", "--stop", "1",
+     "--count", "2"],
+], ids=lambda a: a[0])
+def test_json_output_renders_no_csv(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("csv rendered for json output")
+    monkeypatch.setattr(cli, "_csv_table", refuse)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
 
 
 def test_csv_refused_for_scalar_commands(capsys):

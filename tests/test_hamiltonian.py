@@ -3,28 +3,30 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fibspec import (ALPHA, FibonacciPotential, TridiagonalMatrix,
-                     eigenvalues, fibonacci_tridiagonal, potential_values,
+                     eigenvalues, fibonacci_tridiagonal,
                      square_eigenvalue_sample)
-from fibspec.errors import SizeCapError
+from fibspec.errors import EigenvalueSeparationError, SizeCapError
 
-from oracles import substitution_word
+from oracles import (plain_bisection_eigenvalues, plain_count_below,
+                     substitution_word)
 
 
 def test_potential_first_values():
     p = FibonacciPotential(lam=1.0)
-    assert potential_values(p, 1, 5).tolist() == [1, 0, 1, 1, 0]
-    assert potential_values(p, 0, 0).tolist() == [0]
+    assert p.word(1, 5).tolist() == [1, 0, 1, 1, 0]
+    assert p.word(0, 0).tolist() == [0]
 
 
 def test_potential_matches_substitution_word():
     p = FibonacciPotential(lam=1.0)
-    assert potential_values(p, 1, 100).tolist() == substitution_word(100)
+    assert p.word(1, 100).tolist() == substitution_word(100)
 
 
 def test_word_factor_structure():
     """No '00' and no '111' occur in the golden-rotation coding."""
-    w = "".join(map(str, potential_values(FibonacciPotential(1.0), 1, 500)))
+    w = "".join(map(str, FibonacciPotential(1.0).word(1, 500)))
     assert "00" not in w
     assert "111" not in w
 
@@ -89,8 +91,66 @@ def test_square_sample_cap():
 
 
 def test_omega0_shift_changes_word_but_not_structure():
-    base = potential_values(FibonacciPotential(1.0, omega0=0.0), 1, 50)
-    shifted = potential_values(FibonacciPotential(1.0, omega0=0.37), 1, 50)
+    base = FibonacciPotential(1.0, omega0=0.0).word(1, 50)
+    shifted = FibonacciPotential(1.0, omega0=0.37).word(1, 50)
     assert base.tolist() != shifted.tolist()
     w = "".join(map(str, shifted))
     assert "00" not in w and "111" not in w
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("omega0", [0.0, 0.37])
+@pytest.mark.parametrize("n", [1, 2, 3, 89, 987])
+@pytest.mark.parametrize("lam", [0.0, 2.0, 5.0, 20.0])
+def test_eigenvalues_bit_identical_to_plain_bisection(lam, n, omega0, tol):
+    m = fibonacci_tridiagonal(lam, n, omega0)
+    assert np.array_equal(eigenvalues(m, tol), plain_bisection_eigenvalues(m, tol))
+
+
+def test_eigenvalues_bit_identical_on_many_valued_diagonal():
+    m = TridiagonalMatrix(np.random.default_rng(5).uniform(-2, 2, size=60))
+    assert np.array_equal(eigenvalues(m), plain_bisection_eigenvalues(m))
+
+
+def test_separation_failure_matches_plain_bisection():
+    m = fibonacci_tridiagonal(5.0, 89, 0.37)
+    with pytest.raises(EigenvalueSeparationError) as got:
+        eigenvalues(m, 1e-18)
+    with pytest.raises(EigenvalueSeparationError) as want:
+        plain_bisection_eigenvalues(m, 1e-18)
+    assert got.value.indices == want.value.indices
+    assert got.value.width == want.value.width
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+def test_eigenvalues_refuse_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        eigenvalues(fibonacci_tridiagonal(2.0, 8), tol)
+
+
+def test_sturm_count_vector_matches_scalar_at_zero_pivot():
+    m = TridiagonalMatrix(np.zeros(3))
+    t = np.array([0.0, 0.5, -0.0, 1.0])
+    vector = m.count_below(t)
+    assert vector.tolist() == [m.count_below(x) for x in t]
+    assert np.array_equal(vector, plain_count_below(m.diagonal, t))
+
+
+def test_eigenvalues_count_at_most_half_the_plain_points(monkeypatch):
+    def logging_sizes(count, sizes):
+        def wrapper(*args):
+            sizes.append(np.size(args[-1]))
+            return count(*args)
+        return wrapper
+
+    m = fibonacci_tridiagonal(20.0, 987)
+    plain = []
+    monkeypatch.setattr(oracles, "plain_count_below",
+                        logging_sizes(oracles.plain_count_below, plain))
+    want = plain_bisection_eigenvalues(m)
+    shared = []
+    monkeypatch.setattr(TridiagonalMatrix, "count_below",
+                        logging_sizes(TridiagonalMatrix.count_below, shared))
+    assert np.array_equal(eigenvalues(m), want)
+    assert sum(plain) == len(plain) * m.n
+    assert sum(shared) <= 0.5 * sum(plain)
