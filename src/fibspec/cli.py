@@ -624,16 +624,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     config, result, caveats, render_csv = payload
 
-    if args.format == "csv":
-        if render_csv is None:
-            print("fibspec: csv output is only available for interval sets "
-                  "and sweeps", file=sys.stderr)
-            return 1
-        text = render_csv()
-    else:
-        doc = {"command": args.command, "config": config, "result": result,
-               "caveats": caveats, "runtime_ms": None}
-        text = to_json(doc) + "\n"
+    if args.format == "csv" and render_csv is None:
+        print("fibspec: csv output is only available for interval sets "
+              "and sweeps", file=sys.stderr)
+        return 1
+    try:
+        if args.format == "csv":
+            text = render_csv()
+        else:
+            doc = {"command": args.command, "config": config,
+                   "result": result, "caveats": caveats, "runtime_ms": None}
+            text = to_json(doc) + "\n"
+    except ValueError as exc:  # a non-finite value in the document
+        print(f"fibspec: invalid arguments: {exc}", file=sys.stderr)
+        return 1
 
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     print(f"fibspec: {args.command} finished in {elapsed_ms:.1f} ms",

@@ -35,10 +35,6 @@ _MAX_PASSES = 200
 #: this or the matrix size, whichever is larger.
 _SWEEP_POINTS_MIN = 512
 
-#: ``count_below`` forms a - t once per distinct diagonal value a when the
-#: diagonal has at most this many.
-_SHARED_SHIFTS_MAX = 8
-
 
 @dataclass(frozen=True)
 class FibonacciPotential:
@@ -87,18 +83,6 @@ class TridiagonalMatrix:
     def n(self) -> int:
         return int(self.diagonal.size)
 
-    def _shifted_diagonal(self, t: np.ndarray):
-        """a_i - t for each site i in order.
-
-        The Fibonacci diagonal holds two values, so when it has few distinct
-        entries each a - t is formed once and shared by all sites holding a.
-        """
-        values, which = np.unique(self.diagonal, return_inverse=True)
-        if values.size > _SHARED_SHIFTS_MAX:
-            return (a - t for a in self.diagonal)
-        shifts = [v - t for v in values]
-        return (shifts[j] for j in which.tolist())
-
     def count_below(self, t: float | np.ndarray) -> int | np.ndarray:
         """Number of eigenvalues < t, via the Sturm pivot recursion.
 
@@ -111,23 +95,18 @@ class TridiagonalMatrix:
         d = np.empty_like(t_arr)
         recip = np.zeros_like(t_arr)  # 1/d_0 := 0, so that d_1 = a_1 - t
         negative = np.empty(t_arr.shape, dtype=bool)
-        # Negative pivots add up in bytes, flushed before they can wrap.
-        recent = np.zeros(t_arr.shape, dtype=np.uint8)
         count = np.zeros(t_arr.shape, dtype=np.int64)
         with np.errstate(divide="raise"):
-            for i, shift in enumerate(self._shifted_diagonal(t_arr), 1):
-                np.subtract(shift, recip, out=d)
+            for a in self.diagonal.tolist():
+                np.subtract(a, t_arr, out=d)
+                d -= recip
                 try:
                     np.divide(1.0, d, out=recip)
                 except FloatingPointError:  # some pivot is exactly zero
                     d[d == 0.0] = -1e-300
                     np.divide(1.0, d, out=recip)
                 np.less(d, 0.0, out=negative)
-                recent += negative.view(np.uint8)
-                if i % 255 == 0:
-                    count += recent
-                    recent[:] = 0
-        count += recent
+                np.add(count, negative, out=count)
         if np.ndim(t) == 0:
             return int(count[0])
         return count

@@ -135,6 +135,19 @@ def test_json_output_renders_no_csv(argv, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_output_value_exits_one(fmt, monkeypatch, capsys):
+    def payload(*args):
+        return ({}, {"x": math.inf}, [],
+                lambda: cli._csv_table(["x"], [[math.inf]]))
+    monkeypatch.setattr(cli, "_spectrum_payload", payload)
+    argv = ["spectrum", "--lambda", "5", "--k", "3", "--format", fmt]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fibspec: invalid arguments: non-finite value" in captured.err
+
+
 def test_csv_refused_for_scalar_commands(capsys):
     assert cli.main(["periodic", "--a", "1", "--format", "csv"]) == 1
     capsys.readouterr()
