@@ -19,9 +19,8 @@ from .periodic import (PeriodicPointInfo, g_p, g_q, jacobian, log_ratio,
                        multiplier_q_closed, orbit_info_p, orbit_info_q,
                        point_p, point_q, restricted_jacobian,
                        restricted_multiplier, scan_exceptional, tangent_frame)
-from .spectrum import (HalfTraceSeq, SpectrumCover, band_hierarchy, escapes,
-                       fibonacci_number, half_traces, sigma_bands,
-                       spectrum_cover)
+from .spectrum import (SpectrumCover, band_hierarchy, fibonacci_number,
+                       sigma_bands, spectrum_cover)
 from .sumset import (TheoremReport, check_theorem_rect, check_theorem_square,
                      cover_box_dimension, cover_scales, minkowski_sum,
                      moran_applicable)
@@ -38,7 +37,6 @@ __all__ = [
     "DimensionEstimate",
     "EigenvalueSeparationError",
     "FibonacciPotential",
-    "HalfTraceSeq",
     "IntervalSet",
     "LinearIFS",
     "Orbit",
@@ -63,12 +61,10 @@ __all__ = [
     "cover_box_dimension",
     "cover_scales",
     "eigenvalues",
-    "escapes",
     "fibonacci_number",
     "fibonacci_tridiagonal",
     "g_p",
     "g_q",
-    "half_traces",
     "invariant",
     "invariant_batch",
     "invariant_gradient",

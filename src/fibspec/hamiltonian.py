@@ -88,8 +88,11 @@ class TridiagonalMatrix:
 
         d_1 = a_1 - t,  d_{i+1} = (a_{i+1} - t) - 1/d_i; the count of
         negative pivots equals the eigenvalue count.  A zero pivot is
-        replaced by -1e-300 (the conventional signed-epsilon guard).  Each
-        entry of a vector ``t`` is counted independently of the others.
+        replaced by -1e-300 (the conventional signed-epsilon guard) and so
+        counts as negative: where t is itself an eigenvalue whose pivot
+        comes out exactly zero, that eigenvalue is counted, and the count
+        there is of eigenvalues <= t.  Each entry of a vector ``t`` is
+        counted independently of the others.
         """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         d = np.empty_like(t_arr)

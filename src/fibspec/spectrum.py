@@ -26,24 +26,31 @@ For lam >= 5 the band count of every level is certified against the
 Fibonacci degree; the local grids escalate 4x up to three times before
 the computation fails loudly.  Below coupling 5 approximant bands may
 merge, and merged output is accepted without a count certificate.
+
+One kernel, ``_half_trace``, evaluates x_k for the grid scan, the root
+bisection and the membership test alike.  It runs the recursion in place
+in four rows of scratch, with no temporary per step.  The scan walks the parents in blocks of
+about ``_BLOCK_POINTS`` grid points, so its memory does not grow with the
+number of parents or the grid density; every bracket found is bisected
+together afterwards.  Blocking changes no float operation, so the bands
+are the same floats as those of a scan over one whole grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BandIsolationError
 from .intervals import IntervalSet
-from .tracemap import OVERFLOW_GUARD
 
 # Local scan resolution per parent band, and the escalation policy.
 _BASE_POINTS = 256
 _ESCALATIONS = 3
 _ESCALATION_FACTOR = 4
+_BLOCK_POINTS = 16384  # grid points per block of the scan
 _CERTIFY_FROM = 5.0  # couplings >= this get the Fibonacci-count certificate
 
 
@@ -60,75 +67,6 @@ def fibonacci_number(k: int) -> int:
 
 
 @dataclass(frozen=True)
-class HalfTraceSeq:
-    """Half traces x_{-1} .. x_K for one (coupling, energy) pair.
-
-    ``values[i]`` holds x_{i-1}.  ``escaped_at`` is the smallest k with
-    |x_k| > 1 and |x_{k+1}| > 1, or None if no such pair was seen.  The
-    stored run may stop short of K if the overflow guard tripped.
-    """
-
-    lam: float
-    E: float
-    values: np.ndarray
-    escaped_at: int | None
-
-    def x(self, k: int) -> float:
-        """The half trace x_k, for -1 <= k <= last stored index."""
-        if k < -1 or k + 1 >= self.values.size:
-            raise IndexError(f"x_{k} not stored (have -1..{self.values.size - 2})")
-        return float(self.values[k + 1])
-
-    @property
-    def last_index(self) -> int:
-        return int(self.values.size) - 2
-
-
-class EscapeResult(NamedTuple):
-    escaped: bool
-    index: int | None
-
-
-def half_traces(lam: float, E: float, K: int) -> HalfTraceSeq:
-    """Run the half-trace recursion up to x_K.
-
-    Truncates (without error) once a value passes the overflow guard;
-    by then the escape index, if any, is long since determined.
-    """
-    if not (math.isfinite(lam) and math.isfinite(E)):
-        raise ValueError("coupling and energy must be finite")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    vals = [1.0, E / 2.0, (E - lam) / 2.0]
-    while len(vals) < K + 2:
-        nxt = 2.0 * vals[-1] * vals[-2] - vals[-3]
-        vals.append(nxt)
-        if abs(nxt) > OVERFLOW_GUARD:
-            break
-    arr = np.array(vals)
-    escaped_at = None
-    big = np.abs(arr[1:]) > 1.0  # big[k] corresponds to x_k
-    both = big[:-1] & big[1:]
-    hit = np.flatnonzero(both)
-    if hit.size:
-        escaped_at = int(hit[0])
-    return HalfTraceSeq(lam, E, arr, escaped_at)
-
-
-def escapes(lam: float, E: float, K: int = 40) -> EscapeResult:
-    """Two-consecutive-half-trace escape test within K steps.
-
-    Once |x_k| > 1 and |x_{k+1}| > 1 the sequence grows monotonically and
-    E is outside every later approximant, so this is a one-sided
-    certificate of non-membership in the spectrum.
-    """
-    seq = half_traces(lam, E, K)
-    if seq.escaped_at is not None and seq.escaped_at <= K - 1:
-        return EscapeResult(True, seq.escaped_at)
-    return EscapeResult(False, None)
-
-
-@dataclass(frozen=True)
 class SpectrumCover:
     """Adjacent approximants whose union contains the spectrum."""
 
@@ -140,20 +78,28 @@ class SpectrumCover:
 
 
 # ----------------------------------------------------------------------
-# Vectorized half-trace evaluation on energy arrays
+# The half-trace kernel and the blocked band scan
 # ----------------------------------------------------------------------
 
-def _half_trace_on_grid(lam: float, E: np.ndarray, k: int) -> np.ndarray:
-    """x_k evaluated elementwise on an energy array."""
-    if k == -1:
-        return np.ones_like(E)
+def _half_trace(lam: float, E: np.ndarray, k: int) -> np.ndarray:
+    """x_k (k >= 0) at every energy of the 1-d array ``E``.
+
+    The recursion runs in place in four rows of scratch, one step being
+    x_{j+1} = ((2 * x_j) * x_{j-1}) - x_{j-2}, so no temporary is
+    allocated per step; the result is a view of one of those rows.
+    """
+    a, b, c, t = np.empty((4, E.size))
+    np.divide(E, 2.0, out=b)
     if k == 0:
-        return E / 2.0
-    a = np.ones_like(E)
-    b = E / 2.0
-    c = (E - lam) / 2.0
+        return b
+    a.fill(1.0)
+    np.subtract(E, lam, out=c)
+    c /= 2.0
     for _ in range(2, k + 1):
-        a, b, c = b, c, 2.0 * c * b - a
+        np.multiply(c, 2.0, out=t)
+        t *= b
+        t -= a
+        a, b, c, t = b, c, t, a
     return c
 
 
@@ -163,17 +109,13 @@ def _bisect_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
 
     ``shift`` is per-bracket, so crossings of +1 and -1 refine together.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    pos = glo_pos.copy()
     # Bracket widths shrink by half each pass; 1e-12 from a ~1e-1 start
     # needs < 40 passes, so 64 is comfortable for every desk-scale call.
     for _ in range(64):
         if np.all(hi - lo <= tol):
             break
         mid = 0.5 * (lo + hi)
-        gm_pos = _half_trace_on_grid(lam, mid, k) > shift
-        same = gm_pos == pos
+        same = (_half_trace(lam, mid, k) > shift) == glo_pos
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
@@ -184,8 +126,9 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
     """Locate the bands of sigma_k inside each parent interval.
 
     Scans a uniform local grid per parent for sign changes of
-    x_k -(+1) and x_k -(-1), bisects every bracket (all parents at once),
-    then classifies the gaps between consecutive certified roots by a
+    x_k -(+1) and x_k -(-1), a block of about ``_BLOCK_POINTS`` grid
+    points at a time, bisects every bracket (all parents at once), then
+    classifies the gaps between consecutive certified roots by a
     midpoint membership test.  Bands are clipped to their parent, which
     is harmless: the covering property puts every true band inside some
     parent.
@@ -194,20 +137,27 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
     if n_par == 0:
         return IntervalSet()
     steps = np.linspace(0.0, 1.0, points)
-    grid = parents.lo[:, None] + (parents.hi - parents.lo)[:, None] * steps[None, :]
-    vals = _half_trace_on_grid(lam, grid.ravel(), k).reshape(n_par, points)
+    widths = parents.hi - parents.lo
+    rows = min(n_par, max(1, _BLOCK_POINTS // points))
+    grid_rows = np.empty((rows, points))
 
-    # Collect sign-change brackets for both target levels across all parents.
+    # Collect sign-change brackets for both target levels, block by block.
     blo, bhi, bpos, bshift, bparent = [], [], [], [], []
-    for shift in (1.0, -1.0):
-        gp = vals > shift
-        flip_p, flip_j = np.nonzero(gp[:, :-1] != gp[:, 1:])
-        if flip_p.size:
-            blo.append(grid[flip_p, flip_j])
-            bhi.append(grid[flip_p, flip_j + 1])
-            bpos.append(gp[flip_p, flip_j])
-            bshift.append(np.full(flip_p.size, shift))
-            bparent.append(flip_p)
+    for p0 in range(0, n_par, rows):
+        grid = grid_rows[:n_par - p0]
+        block = slice(p0, p0 + len(grid))
+        np.multiply(widths[block, None], steps, out=grid)
+        grid += parents.lo[block, None]
+        vals = _half_trace(lam, grid.reshape(-1), k).reshape(grid.shape)
+        for shift in (1.0, -1.0):
+            gp = vals > shift
+            flip_p, flip_j = np.nonzero(gp[:, :-1] != gp[:, 1:])
+            if flip_p.size:
+                blo.append(grid[flip_p, flip_j])
+                bhi.append(grid[flip_p, flip_j + 1])
+                bpos.append(gp[flip_p, flip_j])
+                bshift.append(np.full(flip_p.size, shift))
+                bparent.append(flip_p + p0)
     if blo:
         roots = _bisect_roots(lam, k, np.concatenate(blo), np.concatenate(bhi),
                               np.concatenate(bpos), np.concatenate(bshift), tol)
@@ -231,9 +181,10 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
         cuts[offsets[rparent] + 1 + root_slots] = roots
     cell_idx = np.arange(cuts.size - 1)
     cell_valid = ~np.isin(cell_idx, offsets[1:] - 1)  # drop inter-parent seams
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    mids = (0.5 * (cuts[:-1] + cuts[1:]))[cell_valid]
     inside = np.zeros(cuts.size - 1, dtype=bool)
-    inside[cell_valid] = np.abs(_half_trace_on_grid(lam, mids[cell_valid], k)) <= 1.0
+    x_mids = _half_trace(lam, mids, k)
+    inside[cell_valid] = np.abs(x_mids) <= 1.0
 
     if not inside.any():
         return IntervalSet()

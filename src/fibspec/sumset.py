@@ -44,6 +44,11 @@ EXCEPTIONAL_CAVEAT = (
 )
 
 
+def _refuse_over_cap(n_pairs: int, cap: int) -> None:
+    if n_pairs > cap:
+        raise SizeCapError("pairwise interval sums", n_pairs, cap)
+
+
 def minkowski_sum(a: IntervalSet, b: IntervalSet, *, cap: int = SUM_PAIR_CAP,
                   coarsen: float = 0.0) -> IntervalSet:
     """All pairwise sums of components of a and b, merged.
@@ -59,9 +64,7 @@ def minkowski_sum(a: IntervalSet, b: IntervalSet, *, cap: int = SUM_PAIR_CAP,
     if coarsen > 0:
         a = a.dilate(coarsen)
         b = b.dilate(coarsen)
-    n_pairs = len(a) * len(b)
-    if n_pairs > cap:
-        raise SizeCapError("pairwise interval sums", n_pairs, cap)
+    _refuse_over_cap(len(a) * len(b), cap)
     lo = np.add.outer(a.lo, b.lo).ravel()
     hi = np.add.outer(a.hi, b.hi).ravel()
     return IntervalSet.from_arrays(lo, hi)
@@ -156,6 +159,8 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
     hier2 = hier1 if lambda2 == lambda1 else band_hierarchy(lambda2, k + 1, tol=tol)
     covers1 = [hier1[j].union(hier1[j + 1]) for j in levels]
     covers2 = [hier2[j].union(hier2[j + 1]) for j in levels]
+    # Refuse an oversized finest sum before forming the coarser ones.
+    _refuse_over_cap(len(covers1[-1]) * len(covers2[-1]), SUM_PAIR_CAP)
 
     sums = [minkowski_sum(covers1[i], covers2[i]) for i in range(len(levels))]
     sum_scales = [max(e1, e2) for e1, e2 in zip(cover_scales(covers1),

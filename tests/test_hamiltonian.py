@@ -136,6 +136,15 @@ def test_sturm_count_vector_matches_scalar_at_zero_pivot():
     assert np.array_equal(vector, plain_count_below(m.diagonal, t))
 
 
+def test_sturm_count_includes_an_eigenvalue_with_zero_pivot():
+    """Eigenvalues of zeros(3) are -sqrt(2), 0 and sqrt(2); at t = 0 the
+    zero pivots count as negative, so the count is of eigenvalues <= 0."""
+    m = TridiagonalMatrix(np.zeros(3))
+    assert m.count_below(0.0) == 2
+    assert m.count_below(-1e-12) == 1
+    assert m.count_below(1e-12) == 2
+
+
 def test_eigenvalues_count_at_most_half_the_plain_points(monkeypatch):
     def logging_sizes(count, sizes):
         def wrapper(*args):

@@ -1,11 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fibspec import (Point3, apply_map, escapes, fibonacci_number, half_traces,
+from fibspec import (IntervalSet, apply_map, fibonacci_number,
                      sigma_bands, spectral_line, spectrum_cover)
+from fibspec import spectrum
+from fibspec.errors import BandIsolationError
 from fibspec.spectrum import band_hierarchy
 
+import oracles
 from oracles import dense_band_count
+
+
+def half_trace(lam, E, k):
+    """x_k at each energy of E, through the library's one kernel."""
+    E = np.atleast_1d(np.asarray(E, dtype=float))
+    return spectrum._half_trace(lam, E, k)
+
+
+def escape_index(lam, E, K):
+    """Smallest k < K with |x_k| > 1 and |x_{k+1}| > 1, or None."""
+    big = [abs(half_trace(lam, E, k)[0]) > 1.0 for k in range(K + 1)]
+    return next((k for k in range(K) if big[k] and big[k + 1]), None)
 
 
 def test_fibonacci_degrees():
@@ -13,33 +30,45 @@ def test_fibonacci_degrees():
 
 
 def test_half_traces_fixed_point():
-    seq = half_traces(0.0, 2.0, 20)
-    assert all(seq.x(k) == 1.0 for k in range(-1, 21))
-    assert seq.escaped_at is None
+    assert all(half_trace(0.0, 2.0, k)[0] == 1.0 for k in range(21))
+    assert escape_index(0.0, 2.0, 20) is None
 
 
 def test_half_traces_immediate_escape():
-    seq = half_traces(1.0, 100.0, 10)
-    assert seq.escaped_at == 0
+    assert escape_index(1.0, 100.0, 10) == 0
 
 
 def test_half_traces_hand_iteration():
-    seq = half_traces(4.0, 0.0, 6)
-    assert [seq.x(k) for k in range(-1, 5)] == [1.0, 0.0, -2.0, -1.0, 4.0, -6.0]
+    assert [half_trace(4.0, 0.0, k)[0] for k in range(5)] == [0.0, -2.0, -1.0, 4.0, -6.0]
 
 
 def test_half_traces_recursion_holds():
-    seq = half_traces(2.5, 1.3, 15)
-    for k in range(1, seq.last_index):
-        assert seq.x(k + 1) == pytest.approx(
-            2 * seq.x(k) * seq.x(k - 1) - seq.x(k - 2), rel=1e-12)
+    """The kernel computes each step as ((2 * x_k) * x_{k-1}) - x_{k-2},
+    so the recursion holds exactly, from the first step x_2 on."""
+    E = np.array([-1.0, 0.0, 1.3, 2.0, 3.0])
+    xs = {-1: np.ones_like(E), **{j: half_trace(2.5, E, j) for j in range(16)}}
+    for k in range(1, 15):
+        assert np.array_equal(xs[k + 1], 2 * xs[k] * xs[k - 1] - xs[k - 2])
 
 
 def test_escape_examples():
-    assert escapes(1.0, 10.0).escaped
-    assert not escapes(0.0, 0.0, K=200).escaped
-    res = escapes(4.0, 0.0)
-    assert res.escaped and res.index <= 5
+    """Once two consecutive half traces exceed 1 in modulus, the sequence
+    grows without bound: the one-sided non-membership certificate."""
+    assert escape_index(1.0, 10.0, 10) == 0
+    assert escape_index(0.0, 0.0, 200) is None
+    k = escape_index(4.0, 0.0, 10)
+    assert k == 3
+    moduli = [abs(half_trace(4.0, 0.0, j)[0]) for j in range(k, 11)]
+    assert all(a < b for a, b in zip(moduli, moduli[1:]))
+
+
+def test_half_trace_kernel_matches_unblocked_and_keeps_energies():
+    E = np.linspace(-7.0, 7.0, 33)
+    before = E.copy()
+    for k in (0, 1, 2, 9):
+        x = spectrum._half_trace(5.0, E, k)
+        assert np.array_equal(x, oracles.unblocked_half_trace_on_grid(5.0, E, k))
+    assert np.array_equal(E, before)
 
 
 def test_recursion_is_the_map_on_the_line():
@@ -48,10 +77,10 @@ def test_recursion_is_the_map_on_the_line():
     for _ in range(25):
         lam = rng.uniform(0.2, 6.0)
         E = rng.uniform(-2 - lam, 2 + lam)
-        seq = half_traces(lam, E, 12)
+        xs = {-1: 1.0, **{j: half_trace(lam, E, j)[0] for j in range(10)}}
         p = spectral_line(lam, E)
-        for k in range(0, min(10, seq.last_index) - 1):
-            triple = (seq.x(k + 1), seq.x(k), seq.x(k - 1))
+        for k in range(0, 9):
+            triple = (xs[k + 1], xs[k], xs[k - 1])
             if max(abs(t) for t in triple) > 1e10:
                 break
             assert np.allclose(triple, tuple(p), rtol=1e-10, atol=1e-10)
@@ -65,10 +94,8 @@ def test_sigma_band_examples():
 
 
 def test_band_endpoints_solve_unit_half_trace():
-    for lo, hi in sigma_bands(5.0, 5).pairs():
-        for e in (lo, hi):
-            seq = half_traces(5.0, e, 5)
-            assert abs(abs(seq.x(5)) - 1.0) < 1e-9
+    ends = np.ravel(sigma_bands(5.0, 5).pairs())
+    assert np.all(np.abs(np.abs(half_trace(5.0, ends, 5)) - 1.0) < 1e-9)
 
 
 def test_cover_examples():
@@ -119,3 +146,56 @@ def test_merged_bands_accepted_at_small_coupling():
     a short count instead of failing certification."""
     bands = sigma_bands(0.3, 8)
     assert 1 <= len(bands) < fibonacci_number(8)
+
+
+# ----------------------------------------------------------------------
+# The blocked scan against the unblocked one it replaced
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("lam", [0.2, 0.5, 2.0, 5.0, 20.0])
+def test_hierarchy_bit_identical_to_unblocked_scan(lam, monkeypatch):
+    blocked = band_hierarchy(lam, 15)
+    monkeypatch.setattr(spectrum, "_scan_parents", oracles.unblocked_scan_parents)
+    unblocked = band_hierarchy(lam, 15)
+    assert len(blocked) == len(unblocked) == 16
+    for got, want in zip(blocked, unblocked):
+        assert np.array_equal(got.lo, want.lo)
+        assert np.array_equal(got.hi, want.hi)
+
+
+@pytest.mark.parametrize("points, n_parents", [(256, None), (1024, None), (16384, 3)])
+def test_scan_bit_identical_to_unblocked_scan(points, n_parents):
+    """At 256 and 1024 points the 178 parents fill their last block only
+    partly; at 16384 points every parent is a block of its own."""
+    hier = band_hierarchy(5.0, 11)
+    parents = hier[10].union(hier[11])
+    parents = IntervalSet.from_arrays(parents.lo[:n_parents], parents.hi[:n_parents])
+    if n_parents is None:
+        assert len(parents) % (spectrum._BLOCK_POINTS // points) != 0
+    got = spectrum._scan_parents(5.0, 12, parents, points, 1e-12)
+    want = oracles.unblocked_scan_parents(5.0, 12, parents, points, 1e-12)
+    assert len(got) > 0
+    assert np.array_equal(got.lo, want.lo)
+    assert np.array_equal(got.hi, want.hi)
+
+
+@pytest.mark.parametrize("lam, k, level, found, expected",
+                         [(100.0, 12, 12, 220, 233), (1000.0, 9, 8, 33, 34)])
+def test_escalation_failure_unchanged(lam, k, level, found, expected):
+    with pytest.raises(BandIsolationError) as info:
+        band_hierarchy(lam, k)
+    err = info.value
+    assert (err.level, err.found, err.expected) == (level, found, expected)
+
+
+def test_escalated_scan_memory_stays_small():
+    """Escalation to 16384 points on the 178 parents of level 12 is a
+    2.9M-point grid; the blocked scan must never hold it all at once."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BandIsolationError):
+            band_hierarchy(100.0, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

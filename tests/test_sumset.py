@@ -4,6 +4,7 @@ import pytest
 from fibspec import (IntervalSet, TheoremReport, check_theorem_rect,
                      check_theorem_square, cover_box_dimension, cover_scales,
                      minkowski_sum, moran_applicable)
+from fibspec import sumset
 from fibspec.errors import SizeCapError
 from fibspec.spectrum import band_hierarchy
 from fibspec.sumset import EXCEPTIONAL_CAVEAT
@@ -153,6 +154,23 @@ def test_depth_preconditions():
         check_theorem_square(5.0, 2)
     with pytest.raises(ValueError):
         check_theorem_square(5.0, 17)
+
+
+def test_pair_cap_refused_before_any_sum(monkeypatch):
+    hier = band_hierarchy(8.0, 9)
+    n_pairs = len(hier[8].union(hier[9])) ** 2
+    calls = []
+    monkeypatch.setattr(sumset, "minkowski_sum",
+                        lambda *args, **kw: calls.append(args) or minkowski_sum(*args, **kw))
+    monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n_pairs - 1)
+    with pytest.raises(SizeCapError) as info:
+        check_theorem_square(8.0, 8)
+    assert str(info.value) == (f"pairwise interval sums: {n_pairs} items "
+                               f"exceeds cap {n_pairs - 1}")
+    assert calls == []
+    monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n_pairs)
+    check_theorem_square(8.0, 8)
+    assert len(calls) == 4
 
 
 def test_report_validates_rhs_and_gap():
