@@ -22,12 +22,11 @@ from .periodic import (PeriodicPointInfo, g_p, g_q, jacobian, log_ratio,
 from .spectrum import (SpectrumCover, band_hierarchy, fibonacci_number,
                        sigma_bands, spectrum_cover)
 from .sumset import (TheoremReport, check_theorem_rect, check_theorem_square,
-                     cover_box_dimension, cover_scales, minkowski_sum,
-                     moran_applicable)
-from .tracemap import (Orbit, Point3, apply_map, apply_map_batch,
-                       apply_map_inverse, apply_map_inverse_batch, invariant,
-                       invariant_batch, invariant_gradient, orbit,
-                       spectral_line)
+                     cover_box_dimension, cover_ladder, cover_scales,
+                     minkowski_sum, moran_applicable)
+from .tracemap import (Point3, apply_map, apply_map_batch, apply_map_inverse,
+                       apply_map_inverse_batch, invariant, invariant_batch,
+                       invariant_gradient, spectral_line)
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,6 @@ __all__ = [
     "FibonacciPotential",
     "IntervalSet",
     "LinearIFS",
-    "Orbit",
     "PeriodicPointInfo",
     "Point3",
     "ResonanceVerdict",
@@ -59,6 +57,7 @@ __all__ = [
     "check_theorem_rect",
     "check_theorem_square",
     "cover_box_dimension",
+    "cover_ladder",
     "cover_scales",
     "eigenvalues",
     "fibonacci_number",
@@ -78,7 +77,6 @@ __all__ = [
     "moran_dim",
     "multiplier_p_closed",
     "multiplier_q_closed",
-    "orbit",
     "orbit_info_p",
     "orbit_info_q",
     "point_p",

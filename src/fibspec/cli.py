@@ -20,6 +20,8 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +31,9 @@ from .hamiltonian import eigenvalues, fibonacci_tridiagonal
 from .ifs import LinearIFS, attractor_cover, log_ratio_resonance, similarity_dim
 from .intervals import IntervalSet
 from .periodic import log_ratio, orbit_info_p, orbit_info_q, scan_exceptional
-from .spectrum import band_hierarchy, fibonacci_number, spectrum_cover
-from .sumset import check_theorem_rect, cover_box_dimension, moran_applicable
+from .spectrum import fibonacci_number, spectrum_cover
+from .sumset import (check_theorem_rect, cover_box_dimension, cover_ladder,
+                     moran_applicable)
 
 INTERVAL_EMBED_CAP = 10_000
 """Interval lists above this size are summarized instead of embedded."""
@@ -140,8 +143,9 @@ def _intervals_csv(named: list[tuple[str, IntervalSet]]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Command payloads: each returns (config, result, caveats, render_csv),
-# where render_csv builds the CSV text on demand, or is None
+# Command payloads: each is called with every flag's value under its
+# dest and returns (config, result, caveats, render_csv), where
+# render_csv builds the CSV text on demand, or is None
 # ----------------------------------------------------------------------
 
 def _spectrum_payload(lam: float, k: int, tol: float):
@@ -177,7 +181,7 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
     }
     caveats: list[str] = []
     if k is not None:
-        cover = spectrum_cover(lam, k, 1e-12).cover.dilate(dilate)
+        cover = spectrum_cover(lam, k).cover.dilate(dilate)
         inside = cover.contains_points(evs)
         result["cover_check"] = {
             "k": k,
@@ -190,11 +194,7 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
 
 
 def _dim_payload(lam: float, k: int, tol: float):
-    if k < 3:
-        raise ValueError("dimension estimates need k >= 3 (four cover levels)")
-    hier = band_hierarchy(lam, k + 1, tol=tol)
-    levels = list(range(k - 3, k + 1))
-    covers = [hier[j].union(hier[j + 1]) for j in levels]
+    levels, covers = cover_ladder(lam, k, tol)
     caveats: list[str] = []
     if lam < 5:
         caveats.append(MERGED_BAND_CAVEAT)
@@ -216,12 +216,12 @@ def _dim_payload(lam: float, k: int, tol: float):
     return config, result, caveats, None
 
 
-def _sum_payload(lambda1: float, k: int, lambda2: float | None, tol: float):
+def _sum_payload(lam: float, k: int, lambda2: float | None, tol: float):
     if lambda2 is None:
-        lambda2 = lambda1
-    report = check_theorem_rect(lambda1, lambda2, k, tol=tol)
+        lambda2 = lam
+    report = check_theorem_rect(lam, lambda2, k, tol=tol)
     caveats = list(report.caveats)
-    config = {"lambda1": lambda1, "lambda2": lambda2, "k": k, "tol": tol}
+    config = {"lambda1": lam, "lambda2": lambda2, "k": k, "tol": tol}
     result = {
         "levels": report.levels,
         "hd1": _estimate_dict(report.hd1_est),
@@ -245,7 +245,23 @@ def _orbit_dict(info) -> dict:
     }
 
 
-def _periodic_orbit_payload(a: float):
+def _periodic_payload(a: float | None, scan: list[float] | None, grid: int,
+                      qmax: int, scan_tol: float):
+    if (a is None) == (scan is None):
+        raise ValueError("periodic needs exactly one of --a or --scan")
+    if scan is not None:
+        a_min, a_max = scan
+        flagged = scan_exceptional(a_min, a_max, grid, qmax, tol=scan_tol)
+        config = {"a_min": a_min, "a_max": a_max, "grid": grid, "qmax": qmax,
+                  "scan_tol": scan_tol}
+        result = {
+            "flagged_count": len(flagged),
+            "flagged": [{"a": value, "numerator": f.numerator,
+                         "denominator": f.denominator} for value, f in flagged],
+        }
+        caveats = ["proximity flags are candidates only; rationality of the "
+                   "log-multiplier ratio cannot be decided in floating point"]
+        return config, result, caveats, None
     info_p = orbit_info_p(a)
     info_q = orbit_info_q(a)
     config = {"a": a}
@@ -259,23 +275,44 @@ def _periodic_orbit_payload(a: float):
     return config, result, [], None
 
 
-def _periodic_scan_payload(a_min: float, a_max: float, grid: int, qmax: int,
-                           scan_tol: float):
-    flagged = scan_exceptional(a_min, a_max, grid, qmax, tol=scan_tol)
-    config = {"a_min": a_min, "a_max": a_max, "grid": grid, "qmax": qmax,
-              "scan_tol": scan_tol}
-    result = {
-        "flagged_count": len(flagged),
-        "flagged": [{"a": a, "numerator": f.numerator, "denominator": f.denominator}
-                    for a, f in flagged],
-    }
-    caveats = ["proximity flags are candidates only; rationality of the "
-               "log-multiplier ratio cannot be decided in floating point"]
-    return config, result, caveats, None
+def _parse_floats_csv(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
+    if not values:
+        raise ValueError(f"{flag} must list at least one number")
+    return values
 
 
-def _ifs_cover_payload(ratios: tuple[float, ...], offsets: tuple[float, ...],
-                       hull: tuple[float, float], depth: int):
+def _ifs_payload(ratios: str | None, offsets: str | None, hull: str,
+                 depth: int, resonance: list[float] | None, qmax: int):
+    if resonance is not None:
+        if ratios is not None or offsets is not None:
+            raise ValueError("--resonance and --ratios/--offsets are exclusive")
+        r1, r2 = resonance
+        verdict = log_ratio_resonance(r1, r2, qmax)
+        config = {"r1": r1, "r2": r2, "qmax": qmax}
+        result = {
+            "value": verdict.value,
+            "resonant": verdict.resonant,
+            "numerator": verdict.numerator,
+            "denominator": verdict.denominator,
+            "error": verdict.error,
+            "qmax": verdict.qmax,
+        }
+        caveats = []
+        if not verdict.resonant:
+            caveats.append("non-resonance is relative to the denominator bound; "
+                           "no floating-point computation can prove irrationality")
+        return config, result, caveats, None
+    if ratios is None or offsets is None:
+        raise ValueError("ifs needs --ratios and --offsets (or --resonance)")
+    ratios = _parse_floats_csv(ratios, "--ratios")
+    offsets = _parse_floats_csv(offsets, "--offsets")
+    hull = _parse_floats_csv(hull, "--hull")
+    if len(hull) != 2:
+        raise ValueError("--hull expects exactly two numbers LO,HI")
     ifs = LinearIFS(ratios, offsets, hull)
     cover = attractor_cover(ifs, depth)
     caveats: list[str] = []
@@ -294,90 +331,14 @@ def _ifs_cover_payload(ratios: tuple[float, ...], offsets: tuple[float, ...],
     return config, result, caveats, lambda: _intervals_csv([("cover", cover)])
 
 
-def _ifs_resonance_payload(r1: float, r2: float, qmax: int):
-    verdict = log_ratio_resonance(r1, r2, qmax)
-    config = {"r1": r1, "r2": r2, "qmax": qmax}
-    result = {
-        "value": verdict.value,
-        "resonant": verdict.resonant,
-        "numerator": verdict.numerator,
-        "denominator": verdict.denominator,
-        "error": verdict.error,
-        "qmax": verdict.qmax,
-    }
-    caveats = []
-    if not verdict.resonant:
-        caveats.append("non-resonance is relative to the denominator bound; "
-                       "no floating-point computation can prove irrationality")
-    return config, result, caveats, None
-
-
 # ----------------------------------------------------------------------
 # Sweep
 # ----------------------------------------------------------------------
 
-_SWEEP_PAYLOADS = {
-    "spectrum": _spectrum_payload,
-    "oracle": _oracle_payload,
-    "dim": _dim_payload,
-    "sum": _sum_payload,
-    "periodic": _periodic_orbit_payload,
-}
-
-_SWEEP_PARAM = {
-    "spectrum": ("lambda", "lam"),
-    "oracle": ("lambda", "lam"),
-    "dim": ("lambda", "lam"),
-    "sum": ("lambda", "lambda1"),
-    "periodic": ("a", "a"),
-}
-
-
 def _sweep_worker(task):
-    cmd, kwargs = task
-    _, result, caveats, _ = _SWEEP_PAYLOADS[cmd](**kwargs)
+    name, kwargs = task
+    _, result, caveats, _ = _COMMANDS[name].payload(**kwargs)
     return result, caveats
-
-
-def _flat_spectrum(r):
-    return [r["band_count_k"], r["band_count_k_plus_1"], r["cover"]["count"],
-            r["cover"]["hull"][0], r["cover"]["hull"][1],
-            r["cover"]["total_length"]]
-
-
-def _flat_oracle(r):
-    check = r.get("cover_check")
-    return [r["eigenvalue_count"], r["min_eigenvalue"], r["max_eigenvalue"],
-            None if check is None else check["fraction_inside"]]
-
-
-def _flat_dim(r):
-    moran = r["moran"]
-    return [r["band_count"], None if moran is None else moran["value"],
-            r["box"]["value"], r["box"]["slope_stderr"]]
-
-
-def _flat_sum(r):
-    return [r["hd1"]["value"], r["hd2"]["value"], r["sum_dim"]["value"],
-            r["rhs"], r["gap"], r["sum_cover"]["count"]]
-
-
-def _flat_periodic(r):
-    return [r["log_ratio"], r["period4"]["multiplier_closed"],
-            r["period6"]["multiplier_closed"]]
-
-
-_SWEEP_CSV = {
-    "spectrum": (["band_count_k", "band_count_k_plus_1", "cover_count",
-                  "cover_lo", "cover_hi", "cover_total_length"], _flat_spectrum),
-    "oracle": (["eigenvalue_count", "min_eigenvalue", "max_eigenvalue",
-                "fraction_inside"], _flat_oracle),
-    "dim": (["band_count", "moran_value", "box_value", "box_stderr"], _flat_dim),
-    "sum": (["hd1", "hd2", "sum_dim", "rhs", "gap", "sum_component_count"],
-            _flat_sum),
-    "periodic": (["log_ratio", "multiplier_p_closed", "multiplier_q_closed"],
-                 _flat_periodic),
-}
 
 
 def _resolve_jobs(flag: int | None) -> int:
@@ -397,8 +358,23 @@ def _resolve_jobs(flag: int | None) -> int:
     return 1
 
 
-def _sweep_payload(command: str, start: float, stop: float, count: int,
-                   jobs: int | None, fixed: dict):
+def _sweep_payload(swept_command: str, start: float, stop: float, count: int,
+                   jobs: int | None, **passed):
+    """Runs the swept command at each grid value of its swept flag.  A
+    flag it passes through takes the value given to sweep, or else that
+    command's own default; every other flag takes its default."""
+    command = _COMMANDS[swept_command]
+    spec = command.sweep
+    kwargs, fixed = {}, {}
+    for f in command.flags:
+        kwargs[f.dest] = f.options.get("default")
+        if f.name in spec.passes:
+            if passed[f.dest] is not None:
+                kwargs[f.dest] = passed[f.dest]
+            elif f.options.get("required"):
+                raise ValueError(
+                    f"sweep --command {swept_command} requires {f.name}")
+            fixed[f.dest] = kwargs[f.dest]
     if count < 1:
         raise ValueError("sweep needs at least one grid point")
     if count == 1:
@@ -407,13 +383,15 @@ def _sweep_payload(command: str, start: float, stop: float, count: int,
         if not (start < stop):
             raise ValueError("sweep needs start < stop")
         values = [float(v) for v in np.linspace(start, stop, count)]
-    param_label, param_key = _SWEEP_PARAM[command]
-    tasks = [(command, {**fixed, param_key: v}) for v in values]
-    n_jobs = _resolve_jobs(jobs)
-    if n_jobs == 1:
+    swept = next(f for f in command.flags if f.name == spec.flag)
+    tasks = [(swept_command, {**kwargs, swept.dest: v}) for v in values]
+    # A process pool forks all its workers at once, so never ask for
+    # more than there are grid points or CPUs.
+    workers = min(_resolve_jobs(jobs), len(values), os.cpu_count() or 1)
+    if workers == 1:
         outputs = [_sweep_worker(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_sweep_worker, tasks))
     caveats: list[str] = []
     results = []
@@ -422,35 +400,145 @@ def _sweep_payload(command: str, start: float, stop: float, count: int,
         for c in point_caveats:
             if c not in caveats:
                 caveats.append(c)
-    config = {"command": command, "param": param_label, "start": start,
-              "stop": stop, "count": count,
-              **{k: v for k, v in sorted(fixed.items())}}
-    result = {"param": param_label, "values": values, "results": results}
-    header, flatten = _SWEEP_CSV[command]
+    label = spec.flag[2:]
+    config = {"command": swept_command, "param": label, "start": start,
+              "stop": stop, "count": count, **dict(sorted(fixed.items()))}
+    result = {"param": label, "values": values, "results": results}
     return config, result, caveats, lambda: _csv_table(
-        [param_label] + header,
-        [[v] + flatten(r) for v, r in zip(values, results)])
+        [label, *spec.columns],
+        [[v, *spec.row(r)] for v, r in zip(values, results)])
 
 
 # ----------------------------------------------------------------------
-# Argument parsing and dispatch
+# The command table, argument parsing and dispatch
 # ----------------------------------------------------------------------
 
-def _add_io_flags(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output format (csv only for interval sets and sweeps)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write output to PATH atomically instead of stdout")
+class _Flag:
+    """One option of a subcommand: its name and ``add_argument``'s
+    keyword arguments."""
+
+    def __init__(self, name: str, **options):
+        self.name = name
+        self.options = options
+        self.dest = options.get("dest", name[2:].replace("-", "_"))
 
 
-def _parse_floats_csv(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise ValueError(f"{flag} must list at least one number")
-    return values
+@dataclass(frozen=True)
+class _Sweep:
+    """How ``sweep`` runs a command: the flag it sweeps, the flags it
+    passes through, and the CSV columns and row of one grid point."""
+
+    flag: str
+    passes: tuple[str, ...]
+    columns: tuple[str, ...]
+    row: Callable[[dict], list]
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand.  ``payload`` is called with every flag's value under
+    its dest; ``sweep`` is set for the commands that sweep can run."""
+
+    help: str
+    flags: tuple[_Flag, ...]
+    payload: Callable
+    sweep: _Sweep | None = None
+
+
+_LAMBDA = _Flag("--lambda", dest="lam", type=float, required=True)
+_K = _Flag("--k", type=int, required=True)
+_TOL = _Flag("--tol", type=float, default=1e-12)
+
+_COMMANDS: dict[str, _Command] = {
+    "spectrum": _Command(
+        "band covers of the spectrum at one coupling",
+        (_LAMBDA, _K, _TOL), _spectrum_payload,
+        _Sweep("--lambda", ("--k", "--tol"),
+               ("band_count_k", "band_count_k_plus_1", "cover_count",
+                "cover_lo", "cover_hi", "cover_total_length"),
+               lambda r: [r["band_count_k"], r["band_count_k_plus_1"],
+                          r["cover"]["count"], *r["cover"]["hull"],
+                          r["cover"]["total_length"]])),
+    "oracle": _Command(
+        "tridiagonal eigenvalues of a finite box",
+        (_LAMBDA,
+         _Flag("--n", type=int, required=True),
+         _Flag("--omega0", type=float, default=0.0),
+         _Flag("--k", type=int, default=None,
+               help="also report the fraction of eigenvalues inside the "
+                    "level-k cover"),
+         _Flag("--dilate", type=float, default=1e-2),
+         _Flag("--tol", type=float, default=1e-10)),
+        _oracle_payload,
+        _Sweep("--lambda", ("--n", "--omega0", "--k", "--dilate", "--tol"),
+               ("eigenvalue_count", "min_eigenvalue", "max_eigenvalue",
+                "fraction_inside"),
+               lambda r: [r["eigenvalue_count"], r["min_eigenvalue"],
+                          r["max_eigenvalue"],
+                          r["cover_check"]["fraction_inside"]
+                          if "cover_check" in r else None])),
+    "dim": _Command(
+        "dimension estimates of the level-k cover",
+        (_LAMBDA, _K, _TOL), _dim_payload,
+        _Sweep("--lambda", ("--k", "--tol"),
+               ("band_count", "moran_value", "box_value", "box_stderr"),
+               lambda r: [r["band_count"],
+                          None if r["moran"] is None else r["moran"]["value"],
+                          r["box"]["value"], r["box"]["slope_stderr"]])),
+    "sum": _Command(
+        "sum-set dimension comparison at one or two couplings",
+        (_LAMBDA, _Flag("--lambda2", type=float, default=None), _K, _TOL),
+        _sum_payload,
+        _Sweep("--lambda", ("--lambda2", "--k", "--tol"),
+               ("hd1", "hd2", "sum_dim", "rhs", "gap", "sum_component_count"),
+               lambda r: [r["hd1"]["value"], r["hd2"]["value"],
+                          r["sum_dim"]["value"], r["rhs"], r["gap"],
+                          r["sum_cover"]["count"]])),
+    "periodic": _Command(
+        "periodic-orbit data or a rationality scan",
+        (_Flag("--a", type=float, default=None,
+               help="surface parameter (coupling lambda = 2*sqrt(a))"),
+         _Flag("--scan", nargs=2, type=float, default=None,
+               metavar=("A_MIN", "A_MAX")),
+         _Flag("--grid", type=int, default=101),
+         _Flag("--qmax", type=int, default=1000),
+         _Flag("--scan-tol", type=float, default=1e-9)),
+        _periodic_payload,
+        _Sweep("--a", (),
+               ("log_ratio", "multiplier_p_closed", "multiplier_q_closed"),
+               lambda r: [r["log_ratio"], r["period4"]["multiplier_closed"],
+                          r["period6"]["multiplier_closed"]])),
+    "ifs": _Command(
+        "linear IFS covers, dimensions, resonance checks",
+        (_Flag("--ratios", default=None,
+               help="comma-separated contraction ratios"),
+         _Flag("--offsets", default=None,
+               help="comma-separated translations, one per ratio"),
+         _Flag("--hull", default="0,1", help="hull interval as LO,HI"),
+         _Flag("--depth", type=int, default=6),
+         _Flag("--resonance", nargs=2, type=float, default=None,
+               metavar=("R1", "R2"),
+               help="rationality scan of log R1 / log R2 instead of a cover"),
+         _Flag("--qmax", type=int, default=10 ** 6)),
+        _ifs_payload),
+}
+
+# sweep takes every flag that some command passes through, with no
+# default of its own: an absent flag falls back to the swept command's.
+_COMMANDS["sweep"] = _Command(
+    "run another command over a parameter grid",
+    (_Flag("--command", dest="swept_command", required=True,
+           choices=sorted(name for name, c in _COMMANDS.items() if c.sweep)),
+     _Flag("--start", type=float, required=True),
+     _Flag("--stop", type=float, required=True),
+     _Flag("--count", type=int, required=True),
+     _Flag("--jobs", type=int, default=None,
+           help="worker processes (default: FIBSPEC_JOBS or 1), capped at "
+                "the number of grid points and of CPUs"),
+     *{f.name: _Flag(f.name, type=f.options["type"])
+       for c in _COMMANDS.values() if c.sweep
+       for f in c.flags if f.name in c.sweep.passes}.values()),
+    _sweep_payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,133 +547,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  "dimension estimators, and sum-set checks.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    p = sub.add_parser("spectrum", help="band covers of the spectrum at one coupling")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_io_flags(p)
-
-    p = sub.add_parser("oracle", help="tridiagonal eigenvalues of a finite box")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--omega0", type=float, default=0.0)
-    p.add_argument("--k", type=int, default=None,
-                   help="also report the fraction of eigenvalues inside the "
-                        "level-k cover")
-    p.add_argument("--dilate", type=float, default=1e-2)
-    p.add_argument("--tol", type=float, default=1e-10)
-    _add_io_flags(p)
-
-    p = sub.add_parser("dim", help="dimension estimates of the level-k cover")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_io_flags(p)
-
-    p = sub.add_parser("sum", help="sum-set dimension comparison at one or two couplings")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_io_flags(p)
-
-    p = sub.add_parser("periodic", help="periodic-orbit data or a rationality scan")
-    p.add_argument("--a", type=float, default=None,
-                   help="surface parameter (coupling lambda = 2*sqrt(a))")
-    p.add_argument("--scan", nargs=2, type=float, default=None,
-                   metavar=("A_MIN", "A_MAX"))
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--qmax", type=int, default=1000)
-    p.add_argument("--scan-tol", type=float, default=1e-9)
-    _add_io_flags(p)
-
-    p = sub.add_parser("ifs", help="linear IFS covers, dimensions, resonance checks")
-    p.add_argument("--ratios", default=None,
-                   help="comma-separated contraction ratios")
-    p.add_argument("--offsets", default=None,
-                   help="comma-separated translations, one per ratio")
-    p.add_argument("--hull", default="0,1", help="hull interval as LO,HI")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--resonance", nargs=2, type=float, default=None,
-                   metavar=("R1", "R2"),
-                   help="rationality scan of log R1 / log R2 instead of a cover")
-    p.add_argument("--qmax", type=int, default=10 ** 6)
-    _add_io_flags(p)
-
-    p = sub.add_parser("sweep", help="run another command over a parameter grid")
-    p.add_argument("--command", dest="swept_command", required=True,
-                   choices=sorted(_SWEEP_PAYLOADS))
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: FIBSPEC_JOBS or 1)")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--omega0", type=float, default=0.0)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--dilate", type=float, default=1e-2)
-    p.add_argument("--tol", type=float, default=None)
-    _add_io_flags(p)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for f in command.flags:
+            p.add_argument(f.name, **f.options)
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="output format (csv only for interval sets and sweeps)")
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write output to PATH atomically instead of stdout")
     return parser
-
-
-def _sweep_fixed_args(args) -> dict:
-    cmd = args.swept_command
-    if cmd in ("spectrum", "dim", "sum") and args.k is None:
-        raise ValueError(f"sweep --command {cmd} requires --k")
-    if cmd == "oracle" and args.n is None:
-        raise ValueError("sweep --command oracle requires --n")
-    tol_default = 1e-10 if cmd == "oracle" else 1e-12
-    tol = args.tol if args.tol is not None else tol_default
-    if cmd == "spectrum" or cmd == "dim":
-        return {"k": args.k, "tol": tol}
-    if cmd == "sum":
-        return {"k": args.k, "lambda2": args.lambda2, "tol": tol}
-    if cmd == "oracle":
-        return {"n": args.n, "omega0": args.omega0, "k": args.k,
-                "dilate": args.dilate, "tol": tol}
-    return {}
-
-
-def _dispatch(args):
-    cmd = args.command
-    if cmd == "spectrum":
-        return _spectrum_payload(args.lam, args.k, args.tol)
-    if cmd == "oracle":
-        return _oracle_payload(args.lam, args.n, args.omega0, args.k,
-                               args.dilate, args.tol)
-    if cmd == "dim":
-        return _dim_payload(args.lam, args.k, args.tol)
-    if cmd == "sum":
-        return _sum_payload(args.lam, args.k, args.lambda2, args.tol)
-    if cmd == "periodic":
-        if (args.a is None) == (args.scan is None):
-            raise ValueError("periodic needs exactly one of --a or --scan")
-        if args.a is not None:
-            return _periodic_orbit_payload(args.a)
-        return _periodic_scan_payload(args.scan[0], args.scan[1], args.grid,
-                                      args.qmax, args.scan_tol)
-    if cmd == "ifs":
-        if args.resonance is not None:
-            if args.ratios is not None or args.offsets is not None:
-                raise ValueError("--resonance and --ratios/--offsets are exclusive")
-            return _ifs_resonance_payload(args.resonance[0], args.resonance[1],
-                                          args.qmax)
-        if args.ratios is None or args.offsets is None:
-            raise ValueError("ifs needs --ratios and --offsets (or --resonance)")
-        ratios = _parse_floats_csv(args.ratios, "--ratios")
-        offsets = _parse_floats_csv(args.offsets, "--offsets")
-        hull = _parse_floats_csv(args.hull, "--hull")
-        if len(hull) != 2:
-            raise ValueError("--hull expects exactly two numbers LO,HI")
-        return _ifs_cover_payload(ratios, offsets, (hull[0], hull[1]), args.depth)
-    if cmd == "sweep":
-        return _sweep_payload(args.swept_command, args.start, args.stop,
-                              args.count, args.jobs, _sweep_fixed_args(args))
-    raise AssertionError(f"unhandled command {cmd}")
 
 
 def _write_atomic(path: str, text: str):
@@ -610,9 +580,11 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError:
         return 1
 
+    command = _COMMANDS[args.command]
     t0 = time.perf_counter()
     try:
-        payload = _dispatch(args)
+        payload = command.payload(
+            **{f.dest: getattr(args, f.dest) for f in command.flags})
     except (BandIsolationError, EigenvalueSeparationError) as exc:
         print(f"fibspec: numeric failure: {exc}", file=sys.stderr)
         return 2

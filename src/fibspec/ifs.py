@@ -51,10 +51,6 @@ class LinearIFS:
     def __len__(self) -> int:
         return len(self.ratios)
 
-    def first_level(self) -> IntervalSet:
-        """Images of the hull under each map, merged."""
-        return attractor_cover(self, 1)
-
 
 def middle_thirds() -> LinearIFS:
     return LinearIFS((1 / 3, 1 / 3), (0.0, 2 / 3))

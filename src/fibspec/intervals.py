@@ -51,10 +51,6 @@ class IntervalSet:
         lo2, hi2 = _normalize(np.asarray(lo, dtype=float).copy(), np.asarray(hi, dtype=float).copy())
         return cls._from_normalized(lo2, hi2)
 
-    @classmethod
-    def point(cls, x: float) -> "IntervalSet":
-        return cls([(x, x)])
-
     # -- basic queries ---------------------------------------------------
 
     def __len__(self) -> int:
@@ -98,13 +94,6 @@ class IntervalSet:
         return float(np.sum(self.hi - self.lo))
 
     @property
-    def span(self) -> float:
-        """Diameter of the convex hull (0 for the empty set)."""
-        if not self:
-            return 0.0
-        return float(self.hi[-1] - self.lo[0])
-
-    @property
     def hull(self) -> tuple[float, float]:
         if not self:
             raise ValueError("empty interval set has no hull")
@@ -113,10 +102,6 @@ class IntervalSet:
     @property
     def max_length(self) -> float:
         return float(np.max(self.hi - self.lo)) if self else 0.0
-
-    def contains_point(self, x: float) -> bool:
-        i = int(np.searchsorted(self.lo, x, side="right")) - 1
-        return i >= 0 and x <= self.hi[i]
 
     def contains_points(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized closed-set membership for an array of reals."""

@@ -257,6 +257,8 @@ def spectrum_cover(lam: float, k: int, tol: float = 1e-12) -> SpectrumCover:
     certified outer approximations.
     """
     levels = band_hierarchy(lam, k + 1, tol)
+    if k < 0:  # k = -1 passes the hierarchy's checks, then indexes from the end
+        raise ValueError("level must be >= 0")
     sk = levels[k]
     sk1 = levels[k + 1]
     return SpectrumCover(lam, k, sk, sk1, sk.union(sk1))

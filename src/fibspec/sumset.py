@@ -145,20 +145,25 @@ def _factor_report(covers: list[IntervalSet], which: str,
     return est
 
 
+def cover_ladder(lam: float, k: int,
+                 tol: float = 1e-12) -> tuple[list[int], list[IntervalSet]]:
+    """Cover levels k-3 .. k and the two-level covers sigma_j | sigma_{j+1}
+    at those levels, coarse to fine, from one band hierarchy."""
+    if not (k >= LADDER_LEVELS - 1):
+        raise ValueError(f"need k >= {LADDER_LEVELS - 1} for the level ladder")
+    levels = list(range(k - LADDER_LEVELS + 1, k + 1))
+    hier = band_hierarchy(lam, k + 1, tol=tol)
+    return levels, [hier[j].union(hier[j + 1]) for j in levels]
+
+
 def check_theorem_rect(lambda1: float, lambda2: float, k: int,
                        tol: float = 1e-12) -> TheoremReport:
     """Compare dim(cover(lambda1,k) + cover(lambda2,k)) with
     min(d1 + d2, 1) over cover levels k-3 .. k."""
-    if not (k >= LADDER_LEVELS - 1):
-        raise ValueError(f"need k >= {LADDER_LEVELS - 1} for the level ladder")
     if k > 16:
         raise ValueError("cover depth k > 16 is beyond the supported range")
-    levels = list(range(k - LADDER_LEVELS + 1, k + 1))
-
-    hier1 = band_hierarchy(lambda1, k + 1, tol=tol)
-    hier2 = hier1 if lambda2 == lambda1 else band_hierarchy(lambda2, k + 1, tol=tol)
-    covers1 = [hier1[j].union(hier1[j + 1]) for j in levels]
-    covers2 = [hier2[j].union(hier2[j + 1]) for j in levels]
+    levels, covers1 = cover_ladder(lambda1, k, tol)
+    covers2 = covers1 if lambda2 == lambda1 else cover_ladder(lambda2, k, tol)[1]
     # Refuse an oversized finest sum before forming the coarser ones.
     _refuse_over_cap(len(covers1[-1]) * len(covers2[-1]), SUM_PAIR_CAP)
 

@@ -25,10 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Coordinates beyond this magnitude would overflow float64 after one more
-# doubling step (the map is quadratic), so orbit iteration truncates there.
-OVERFLOW_GUARD = 1e150
-
 
 @dataclass(frozen=True)
 class Point3:
@@ -48,20 +44,6 @@ class Point3:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """A finite forward orbit.  ``overflowed`` marks early truncation."""
-
-    points: tuple[Point3, ...]
-    overflowed: bool
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, i: int) -> Point3:
-        return self.points[i]
 
 
 def apply_map(p: Point3) -> Point3:
@@ -130,21 +112,3 @@ def spectral_line(lam: float, E: float) -> Point3:
     if not (math.isfinite(lam) and math.isfinite(E)):
         raise ValueError("coupling and energy must be finite")
     return Point3((E - lam) / 2.0, E / 2.0, 1.0)
-
-
-def orbit(p: Point3, n: int) -> Orbit:
-    """Forward orbit p, f(p), ..., f^n(p).
-
-    Stops early (``overflowed=True``) as soon as any coordinate exceeds
-    OVERFLOW_GUARD in magnitude; a truncated orbit is a result, not an error.
-    """
-    if n < 0:
-        raise ValueError("orbit length must be >= 0")
-    pts = [p]
-    cur = p
-    for _ in range(n):
-        if max(abs(cur.x), abs(cur.y), abs(cur.z)) > OVERFLOW_GUARD:
-            return Orbit(tuple(pts), True)
-        cur = apply_map(cur)
-        pts.append(cur)
-    return Orbit(tuple(pts), False)

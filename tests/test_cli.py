@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -137,10 +138,11 @@ def test_json_output_renders_no_csv(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_output_value_exits_one(fmt, monkeypatch, capsys):
-    def payload(*args):
+    def payload(**kwargs):
         return ({}, {"x": math.inf}, [],
                 lambda: cli._csv_table(["x"], [[math.inf]]))
-    monkeypatch.setattr(cli, "_spectrum_payload", payload)
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", dataclasses.replace(
+        cli._COMMANDS["spectrum"], payload=payload))
     argv = ["spectrum", "--lambda", "5", "--k", "3", "--format", fmt]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
@@ -202,3 +204,133 @@ def test_to_json_rejects_non_finite():
         cli.to_json({"x": math.inf})
     with pytest.raises(ValueError):
         cli.to_json({"x": math.nan})
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda", "5", "--k", "-1"],
+    ["oracle", "--lambda", "5", "--n", "8", "--k", "-1"],
+    ["sweep", "--command", "spectrum", "--start", "2", "--stop", "5",
+     "--count", "2", "--k", "-1"],
+], ids=lambda a: a[0])
+def test_negative_level_exits_one(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fibspec: invalid arguments: level must be >= 0" in captured.err
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and
+    maps in this process, so no process is ever started."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, count, cpus, workers", [
+    ("100000", 3, 8, 3),
+    ("100000", 6, 4, 4),
+    ("3", 6, 4, 3),
+    ("100000", 6, None, None),
+    ("100000", 1, 8, None),
+])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_sweep_workers_capped(jobs, count, cpus, workers, via_env,
+                              monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    base = ["sweep", "--command", "periodic", "--start", "0.1", "--stop",
+            "1.1", "--count", str(count)]
+    _, serial = run(base + ["--jobs", "1"], capsys)
+    if via_env:
+        monkeypatch.setenv("FIBSPEC_JOBS", jobs)
+        _, out = run(base, capsys)
+    else:
+        _, out = run(base + ["--jobs", jobs], capsys)
+    assert _SerialPool.requested == ([] if workers is None else [workers])
+    assert out == serial
+
+
+_LABELS = {"periodic": "a"}
+_SWEEPS = {
+    "spectrum": (["--k", "3"], {"k": 3, "tol": 1e-12},
+                 ["band_count_k", "band_count_k_plus_1", "cover_count",
+                  "cover_lo", "cover_hi", "cover_total_length"]),
+    "oracle": (["--n", "13"],
+               {"dilate": 1e-2, "k": None, "n": 13, "omega0": 0.0,
+                "tol": 1e-10},
+               ["eigenvalue_count", "min_eigenvalue", "max_eigenvalue",
+                "fraction_inside"]),
+    "dim": (["--k", "4"], {"k": 4, "tol": 1e-12},
+            ["band_count", "moran_value", "box_value", "box_stderr"]),
+    "sum": (["--k", "4"], {"k": 4, "lambda2": None, "tol": 1e-12},
+            ["hd1", "hd2", "sum_dim", "rhs", "gap", "sum_component_count"]),
+    "periodic": ([], {}, ["log_ratio", "multiplier_p_closed",
+                          "multiplier_q_closed"]),
+}
+
+
+def sweep_argv(name, extra=()):
+    return (["sweep", "--command", name, "--start", "5", "--stop", "6",
+             "--count", "2"] + _SWEEPS[name][0] + list(extra))
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEPS))
+def test_sweep_config_defaults(name, capsys):
+    _, out = run(sweep_argv(name), capsys)
+    label = _LABELS.get(name, "lambda")
+    config = json.loads(out)["config"]
+    assert list(config) == (["command", "param", "start", "stop", "count"]
+                            + sorted(_SWEEPS[name][1]))
+    assert config == {"command": name, "param": label, "start": 5.0,
+                      "stop": 6.0, "count": 2, **_SWEEPS[name][1]}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEPS))
+def test_sweep_csv_rows_as_wide_as_header(name, capsys):
+    _, out = run(sweep_argv(name, ["--format", "csv"]), capsys)
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    assert header == [_LABELS.get(name, "lambda")] + _SWEEPS[name][2]
+    assert len(lines) == 3
+    assert all(len(line.split(",")) == len(header) for line in lines[1:])
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("spectrum", ["--tol", "1e-10"]),
+    ("oracle", ["--k", "5", "--omega0", "0.25", "--dilate", "0.1"]),
+    ("dim", []),
+    ("sum", ["--lambda2", "8"]),
+    ("periodic", []),
+])
+def test_sweep_rows_equal_direct_runs(name, extra, capsys):
+    _, out = run(sweep_argv(name, extra), capsys)
+    doc = json.loads(out)
+    flag = "--" + _LABELS.get(name, "lambda")
+    for value, row in zip(doc["result"]["values"], doc["result"]["results"]):
+        _, direct = run([name, flag, repr(value)] + _SWEEPS[name][0] + extra,
+                        capsys)
+        assert row == json.loads(direct)["result"]
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("spectrum", "--k"), ("dim", "--k"), ("sum", "--k"), ("oracle", "--n")])
+def test_sweep_requires_flag(name, flag, capsys):
+    assert cli.main(["sweep", "--command", name, "--start", "1", "--stop",
+                     "2", "--count", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"fibspec: invalid arguments: sweep --command "
+                            f"{name} requires {flag}\n")

@@ -17,8 +17,8 @@ def thirds_cover(depth):
 
 def test_box_count_basic():
     assert box_count(IntervalSet.from_arrays([0.0], [0.9]), 0.25) == 4
-    assert box_count(IntervalSet.point(0.0), 0.1) == 1
-    assert box_count(IntervalSet.point(0.0), 123.0) == 1
+    assert box_count(IntervalSet([(0.0, 0.0)]), 0.1) == 1
+    assert box_count(IntervalSet([(0.0, 0.0)]), 123.0) == 1
 
 
 def test_box_count_two_thirds_components():

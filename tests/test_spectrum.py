@@ -105,6 +105,14 @@ def test_cover_examples():
                        [[-2.0, 2.0], [3.0, 7.0]], atol=1e-10)
 
 
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_cover_refuses_negative_level(k):
+    # k = -1 once indexed the hierarchy from the end and returned sigma_0
+    # as both sigma_k and sigma_{k+1}
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        spectrum_cover(5.0, k)
+
+
 def test_cover_length_decreases():
     assert (spectrum_cover(5.0, 10).cover.total_length
             < spectrum_cover(5.0, 8).cover.total_length)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fibspec import (IntervalSet, TheoremReport, check_theorem_rect,
-                     check_theorem_square, cover_box_dimension, cover_scales,
-                     minkowski_sum, moran_applicable)
+                     check_theorem_square, cover_box_dimension, cover_ladder,
+                     cover_scales, minkowski_sum, moran_applicable)
 from fibspec import sumset
 from fibspec.errors import SizeCapError
 from fibspec.spectrum import band_hierarchy
@@ -36,7 +36,7 @@ def test_quarters_self_sum_three_pieces():
 
 def test_degenerate_point_is_identity():
     b = iset((0.5, 1.0), (2.0, 3.5))
-    s = minkowski_sum(IntervalSet.point(0.0), b)
+    s = minkowski_sum(IntervalSet([(0.0, 0.0)]), b)
     assert s.pairs() == b.pairs()
 
 
@@ -154,6 +154,32 @@ def test_depth_preconditions():
         check_theorem_square(5.0, 2)
     with pytest.raises(ValueError):
         check_theorem_square(5.0, 17)
+
+
+def test_cover_ladder_levels_and_covers():
+    hier = band_hierarchy(5.0, 9)
+    levels, covers = cover_ladder(5.0, 8)
+    assert levels == [5, 6, 7, 8]
+    assert covers == [hier[j].union(hier[j + 1]) for j in levels]
+    with pytest.raises(ValueError, match="need k >= 3"):
+        cover_ladder(5.0, 2)
+
+
+def test_cover_ladder_has_no_depth_ceiling():
+    # the k > 16 refusal belongs to the sum check; dim uses deeper ladders
+    levels, covers = cover_ladder(5.0, 17)
+    assert levels == [14, 15, 16, 17]
+    assert len(covers) == 4
+
+
+def test_equal_couplings_build_one_ladder(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sumset, "band_hierarchy",
+                        lambda *args, **kw: calls.append(args) or band_hierarchy(*args, **kw))
+    check_theorem_square(8.0, 6)
+    assert len(calls) == 1
+    check_theorem_rect(8.0, 9.0, 6)
+    assert len(calls) == 3
 
 
 def test_pair_cap_refused_before_any_sum(monkeypatch):
