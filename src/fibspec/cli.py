@@ -38,9 +38,6 @@ from .sumset import (check_theorem_rect, cover_box_dimension, cover_ladder,
 INTERVAL_EMBED_CAP = 10_000
 """Interval lists above this size are summarized instead of embedded."""
 
-MERGED_BAND_CAVEAT = ("couplings below 5 are outside the band-isolation "
-                      "certification range; adjacent bands may be merged")
-
 
 class _UsageError(Exception):
     pass
@@ -151,8 +148,6 @@ def _intervals_csv(named: list[tuple[str, IntervalSet]]) -> str:
 def _spectrum_payload(lam: float, k: int, tol: float):
     sc = spectrum_cover(lam, k, tol)
     caveats: list[str] = []
-    if lam < 5:
-        caveats.append(MERGED_BAND_CAVEAT)
     config = {"lambda": lam, "k": k, "tol": tol}
     result = {
         "band_count_k": len(sc.sigma_k),
@@ -170,7 +165,10 @@ def _spectrum_payload(lam: float, k: int, tol: float):
 
 def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
                     dilate: float, tol: float):
-    evs = eigenvalues(fibonacci_tridiagonal(lam, n, omega0), tol)
+    m = fibonacci_tridiagonal(lam, n, omega0)
+    # the cover refuses a bad --k at once, before the eigensolve
+    cover = None if k is None else spectrum_cover(lam, k).cover.dilate(dilate)
+    evs = eigenvalues(m, tol)
     config = {"lambda": lam, "n": n, "omega0": omega0, "k": k,
               "dilate": dilate, "tol": tol}
     result = {
@@ -180,8 +178,7 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
         "eigenvalues": [float(v) for v in evs],
     }
     caveats: list[str] = []
-    if k is not None:
-        cover = spectrum_cover(lam, k).cover.dilate(dilate)
+    if cover is not None:
         inside = cover.contains_points(evs)
         result["cover_check"] = {
             "k": k,
@@ -196,8 +193,6 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
 def _dim_payload(lam: float, k: int, tol: float):
     levels, covers = cover_ladder(lam, k, tol)
     caveats: list[str] = []
-    if lam < 5:
-        caveats.append(MERGED_BAND_CAVEAT)
     if moran_applicable(covers[-1]):
         moran = moran_dim(covers[-1], approximate=True)
     else:
@@ -362,9 +357,14 @@ def _sweep_payload(swept_command: str, start: float, stop: float, count: int,
                    jobs: int | None, **passed):
     """Runs the swept command at each grid value of its swept flag.  A
     flag it passes through takes the value given to sweep, or else that
-    command's own default; every other flag takes its default."""
+    command's own default; every other flag takes its default, and giving
+    it to sweep is an error."""
     command = _COMMANDS[swept_command]
     spec = command.sweep
+    for f in _COMMANDS["sweep"].flags:
+        if passed.get(f.dest) is not None and f.name not in spec.passes:
+            raise ValueError(
+                f"sweep --command {swept_command} does not take {f.name}")
     kwargs, fixed = {}, {}
     for f in command.flags:
         kwargs[f.dest] = f.options.get("default")

@@ -11,10 +11,10 @@ from __future__ import annotations
 class BandIsolationError(RuntimeError):
     """Root isolation could not certify the spectral band count.
 
-    Raised only for couplings >= 5, where the band count of a trace-map
-    approximant must equal the Fibonacci degree of the half-trace
-    polynomial.  Carries the offending level and the count observed at the
-    highest grid density tried.
+    The band count of a trace-map approximant must equal the Fibonacci
+    degree of the half-trace polynomial at every coupling.  Carries the
+    offending level and the count observed at the highest grid density
+    tried.
     """
 
     def __init__(self, lam: float, level: int, found: int, expected: int):

@@ -22,10 +22,11 @@ uniform grid cannot do this job — at coupling 20 the level-12 bands are
 narrower than 1e-9 while the energy window is ~44 wide — hence the
 hierarchical refinement below.
 
-For lam >= 5 the band count of every level is certified against the
-Fibonacci degree; the local grids escalate 4x up to three times before
-the computation fails loudly.  Below coupling 5 approximant bands may
-merge, and merged output is accepted without a count certificate.
+The F_k bands are disjoint for lam > 4 (Raymond), and every gap of the
+spectrum is open at every lam > 0 (Damanik-Gorodetski-Yessen), so the
+band count of every level is certified against F_k at every coupling;
+the local grids escalate 4x up to three times before the computation
+fails loudly.
 
 One kernel, ``_half_trace``, evaluates x_k for the grid scan, the root
 bisection and the membership test alike.  It runs the recursion in place
@@ -51,7 +52,6 @@ _BASE_POINTS = 256
 _ESCALATIONS = 3
 _ESCALATION_FACTOR = 4
 _BLOCK_POINTS = 16384  # grid points per block of the scan
-_CERTIFY_FROM = 5.0  # couplings >= this get the Fibonacci-count certificate
 
 
 def fibonacci_number(k: int) -> int:
@@ -201,12 +201,12 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
 
 
 def _level_bands(lam: float, k: int, parents: IntervalSet, tol: float) -> IntervalSet:
-    """Bands of sigma_k inside ``parents``, certified when lam >= 5."""
+    """Bands of sigma_k inside ``parents``, certified to number F_k."""
     expected = fibonacci_number(k)
     points = _BASE_POINTS
-    for attempt in range(_ESCALATIONS + 1):
+    for _ in range(_ESCALATIONS + 1):
         bands = _scan_parents(lam, k, parents, points, tol)
-        if lam < _CERTIFY_FROM or len(bands) == expected:
+        if len(bands) == expected:
             return bands
         points *= _ESCALATION_FACTOR
     raise BandIsolationError(lam, k, len(bands), expected)
@@ -242,9 +242,8 @@ def sigma_bands(lam: float, k: int, tol: float = 1e-12) -> IntervalSet:
     """Band decomposition of the k-th spectrum approximant sigma_k.
 
     Every endpoint is a bisection-certified root of x_k(E) = +-1 located
-    to within ``tol``.  For lam >= 5 the band count is certified to equal
-    the Fibonacci degree F_k; below that, bands may merge and the merged
-    set is returned as-is.
+    to within ``tol``, and the band count is certified to equal the
+    Fibonacci degree F_k.
     """
     return band_hierarchy(lam, k, tol)[k]
 

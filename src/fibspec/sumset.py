@@ -49,21 +49,11 @@ def _refuse_over_cap(n_pairs: int, cap: int) -> None:
         raise SizeCapError("pairwise interval sums", n_pairs, cap)
 
 
-def minkowski_sum(a: IntervalSet, b: IntervalSet, *, cap: int = SUM_PAIR_CAP,
-                  coarsen: float = 0.0) -> IntervalSet:
-    """All pairwise sums of components of a and b, merged.
-
-    ``coarsen`` dilates both operands by that radius first (merging
-    near-touching components); it is the escape hatch when the raw
-    pairwise product would exceed ``cap``.
-    """
+def minkowski_sum(a: IntervalSet, b: IntervalSet, *,
+                  cap: int = SUM_PAIR_CAP) -> IntervalSet:
+    """All pairwise sums of components of a and b, merged."""
     if not a or not b:
         raise ValueError("minkowski_sum requires two non-empty interval sets")
-    if coarsen < 0:
-        raise ValueError("coarsening radius must be >= 0")
-    if coarsen > 0:
-        a = a.dilate(coarsen)
-        b = b.dilate(coarsen)
     _refuse_over_cap(len(a) * len(b), cap)
     lo = np.add.outer(a.lo, b.lo).ravel()
     hi = np.add.outer(a.hi, b.hi).ravel()

@@ -18,6 +18,12 @@ def dense_band_count(lam: float, k: int, refine: int = 64,
     closed-form orbit multiplier per refinement level) divided by
     ``refine``, so every band holds many grid points.  Runs are counted
     chunk-by-chunk to keep memory flat.
+
+    The step follows band widths, but at weak coupling the narrow
+    features are the gaps: at the default ``refine=64`` the grid steps
+    over some of them (78 runs for F_10 = 89 at lam = 0.05, 224 for
+    F_12 = 233 at lam = 0.1).  Below lam ~ 0.5 pass ``refine=1024``,
+    which counts F_k at lam = 0.05 .. 0.3 in well under a second.
     """
     a = lam * lam / 4.0
     m = max(multiplier_p_closed(a) ** 0.25, multiplier_q_closed(a) ** (1.0 / 6.0))

@@ -334,3 +334,39 @@ def test_sweep_requires_flag(name, flag, capsys):
     assert captured.out == ""
     assert captured.err == (f"fibspec: invalid arguments: sweep --command "
                             f"{name} requires {flag}\n")
+
+
+@pytest.mark.parametrize("name, extra, flag", [
+    ("periodic", ["--k", "4", "--n", "3"], "--k"),
+    ("periodic", ["--tol", "1e-9"], "--tol"),
+    ("spectrum", ["--k", "3", "--n", "5"], "--n"),
+    ("dim", ["--k", "4", "--lambda2", "6"], "--lambda2"),
+    ("sum", ["--k", "4", "--dilate", "0.1"], "--dilate"),
+])
+def test_sweep_refuses_flag_the_command_does_not_take(name, extra, flag,
+                                                      capsys):
+    # such a flag was once dropped silently, and the sweep exited 0
+    assert cli.main(["sweep", "--command", name, "--start", "0.5", "--stop",
+                     "0.5", "--count", "1", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"fibspec: invalid arguments: sweep --command "
+                            f"{name} does not take {flag}\n")
+
+
+def test_oracle_refuses_bad_level_before_the_eigensolve(monkeypatch, capsys):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigenvalues called before --k was checked")
+    monkeypatch.setattr(cli, "eigenvalues", no_eigensolve)
+    assert cli.main(["oracle", "--lambda", "5", "--n", "2584",
+                     "--k", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fibspec: invalid arguments: level must be >= 0" in captured.err
+
+
+def test_weak_coupling_band_isolation_exits_two(capsys):
+    assert cli.main(["spectrum", "--lambda", "0.01", "--k", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "level 7: found 20 bands, expected 21" in captured.err

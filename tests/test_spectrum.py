@@ -119,8 +119,33 @@ def test_cover_length_decreases():
 
 
 def test_band_counts_match_dense_oracle():
-    for lam, k in ((5.0, 8), (6.0, 7)):
-        assert len(sigma_bands(lam, k)) == fibonacci_number(k) == dense_band_count(lam, k)
+    # at weak coupling the oracle's grid must resolve the narrow gaps
+    for lam, k, refine in ((5.0, 8, 64), (6.0, 7, 64), (0.05, 10, 1024),
+                           (0.1, 12, 1024), (0.2, 12, 1024), (0.3, 8, 1024)):
+        assert (len(sigma_bands(lam, k)) == fibonacci_number(k)
+                == dense_band_count(lam, k, refine=refine))
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.1])
+def test_cover_contains_next_level_on_dense_grid(lam):
+    """sigma_{k+2} lies inside sigma_k | sigma_{k+1}.  A band finder that
+    accepted short counts once left up to 3.7% of these points outside."""
+    k = 10
+    E = np.linspace(-2.0 - lam, 2.0 + lam, 1_000_001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = oracles.unblocked_half_trace_on_grid(lam, E, k + 2)
+    members = E[np.abs(x) <= 1.0]
+    assert members.size > 0
+    cover = spectrum_cover(lam, k).cover.dilate(1e-9)  # endpoint tolerance
+    assert np.all(cover.contains_points(members))
+
+
+def test_weak_coupling_refused_when_gaps_outrun_the_grid():
+    # level 7 at coupling 0.01 has a gap narrower than the finest scan
+    with pytest.raises(BandIsolationError) as info:
+        band_hierarchy(0.01, 10)
+    err = info.value
+    assert (err.level, err.found, err.expected) == (7, 20, 21)
 
 
 def test_bands_inside_operator_norm_interval():
@@ -147,13 +172,6 @@ def test_hierarchy_consistent_with_direct_bands():
         assert len(direct) == len(hier[k])
         assert np.allclose(direct.lo, hier[k].lo, atol=1e-9)
         assert np.allclose(direct.hi, hier[k].hi, atol=1e-9)
-
-
-def test_merged_bands_accepted_at_small_coupling():
-    """Below coupling 4 bands may touch and merge; the finder must accept
-    a short count instead of failing certification."""
-    bands = sigma_bands(0.3, 8)
-    assert 1 <= len(bands) < fibonacci_number(8)
 
 
 # ----------------------------------------------------------------------
