@@ -8,8 +8,7 @@ from .dimension import (DimensionEstimate, box_count, box_dim_regression,
                         moran_dim, solve_partition_exponent)
 from .errors import BandIsolationError, EigenvalueSeparationError, SizeCapError
 from .hamiltonian import (ALPHA, FibonacciPotential, TridiagonalMatrix,
-                          eigenvalues, fibonacci_tridiagonal,
-                          square_eigenvalue_sample)
+                          eigenvalues, fibonacci_tridiagonal)
 from .ifs import (LinearIFS, ResonanceVerdict, attractor_cover, binary_halves,
                   log_ratio_resonance, middle_thirds, quarter_corners,
                   similarity_dim)
@@ -21,9 +20,8 @@ from .periodic import (PeriodicPointInfo, g_p, g_q, jacobian, log_ratio,
                        restricted_multiplier, scan_exceptional, tangent_frame)
 from .spectrum import (SpectrumCover, band_hierarchy, fibonacci_number,
                        sigma_bands, spectrum_cover)
-from .sumset import (TheoremReport, check_theorem_rect, check_theorem_square,
-                     cover_box_dimension, cover_ladder, cover_scales,
-                     minkowski_sum, moran_applicable)
+from .sumset import (TheoremReport, check_theorem_rect, cover_ladder,
+                     ladder_dimension, minkowski_sum)
 from .tracemap import (Point3, apply_map, apply_map_batch, apply_map_inverse,
                        apply_map_inverse_batch, invariant, invariant_batch,
                        invariant_gradient, spectral_line)
@@ -55,10 +53,7 @@ __all__ = [
     "box_count",
     "box_dim_regression",
     "check_theorem_rect",
-    "check_theorem_square",
-    "cover_box_dimension",
     "cover_ladder",
-    "cover_scales",
     "eigenvalues",
     "fibonacci_number",
     "fibonacci_tridiagonal",
@@ -68,12 +63,12 @@ __all__ = [
     "invariant_batch",
     "invariant_gradient",
     "jacobian",
+    "ladder_dimension",
     "log_ratio",
     "log_ratio_resonance",
     "middle_thirds",
     "minimal_period",
     "minkowski_sum",
-    "moran_applicable",
     "moran_dim",
     "multiplier_p_closed",
     "multiplier_q_closed",
@@ -90,6 +85,5 @@ __all__ = [
     "solve_partition_exponent",
     "spectral_line",
     "spectrum_cover",
-    "square_eigenvalue_sample",
     "tangent_frame",
 ]

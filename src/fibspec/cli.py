@@ -20,20 +20,18 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dimension import DimensionEstimate, moran_dim
 from .errors import BandIsolationError, EigenvalueSeparationError, SizeCapError
 from .hamiltonian import eigenvalues, fibonacci_tridiagonal
 from .ifs import LinearIFS, attractor_cover, log_ratio_resonance, similarity_dim
 from .intervals import IntervalSet
 from .periodic import log_ratio, orbit_info_p, orbit_info_q, scan_exceptional
 from .spectrum import fibonacci_number, spectrum_cover
-from .sumset import (check_theorem_rect, cover_box_dimension, cover_ladder,
-                     moran_applicable)
+from .sumset import check_theorem_rect, cover_ladder, ladder_dimension
 
 INTERVAL_EMBED_CAP = 10_000
 """Interval lists above this size are summarized instead of embedded."""
@@ -87,19 +85,6 @@ def to_json(obj) -> str:
     if isinstance(obj, np.ndarray):
         return to_json(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _estimate_dict(est: DimensionEstimate | None) -> dict | None:
-    if est is None:
-        return None
-    return {
-        "value": est.value,
-        "slope_stderr": est.slope_stderr,
-        "levels_used": list(est.levels_used),
-        "method": est.method,
-        "degenerate": est.degenerate,
-        "approximate": est.approximate,
-    }
 
 
 def _interval_dict(s: IntervalSet, caveats: list[str], label: str) -> dict:
@@ -192,21 +177,18 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
 
 def _dim_payload(lam: float, k: int, tol: float):
     levels, covers = cover_ladder(lam, k, tol)
+    box, moran = ladder_dimension(covers)
     caveats: list[str] = []
-    if moran_applicable(covers[-1]):
-        moran = moran_dim(covers[-1], approximate=True)
-    else:
-        moran = None
+    if moran is None:
         caveats.append("cover bands too coarse for a partition exponent "
                        "(fewer than 2 bands, or lengths not all within (0,1), "
                        "or total length >= 1); only the box estimate is reported")
-    box = cover_box_dimension(covers)
     config = {"lambda": lam, "k": k, "tol": tol}
     result = {
         "band_count": len(covers[-1]),
         "levels": levels,
-        "moran": _estimate_dict(moran),
-        "box": _estimate_dict(box),
+        "moran": None if moran is None else asdict(moran),
+        "box": asdict(box),
     }
     return config, result, caveats, None
 
@@ -219,9 +201,9 @@ def _sum_payload(lam: float, k: int, lambda2: float | None, tol: float):
     config = {"lambda1": lam, "lambda2": lambda2, "k": k, "tol": tol}
     result = {
         "levels": report.levels,
-        "hd1": _estimate_dict(report.hd1_est),
-        "hd2": _estimate_dict(report.hd2_est),
-        "sum_dim": _estimate_dict(report.sum_dim_est),
+        "hd1": asdict(report.hd1_est),
+        "hd2": asdict(report.hd2_est),
+        "sum_dim": asdict(report.sum_dim_est),
         "rhs": report.rhs,
         "gap": report.gap,
         "sum_cover": _interval_dict(report.sum_cover, caveats, "sum_cover"),
@@ -437,12 +419,14 @@ class _Sweep:
 @dataclass(frozen=True)
 class _Command:
     """A subcommand.  ``payload`` is called with every flag's value under
-    its dest; ``sweep`` is set for the commands that sweep can run."""
+    its dest; ``sweep`` is set for the commands that sweep can run;
+    ``csv`` is False for those that never render a CSV table."""
 
     help: str
     flags: tuple[_Flag, ...]
     payload: Callable
     sweep: _Sweep | None = None
+    csv: bool = True
 
 
 _LAMBDA = _Flag("--lambda", dest="lam", type=float, required=True)
@@ -476,7 +460,8 @@ _COMMANDS: dict[str, _Command] = {
                lambda r: [r["eigenvalue_count"], r["min_eigenvalue"],
                           r["max_eigenvalue"],
                           r["cover_check"]["fraction_inside"]
-                          if "cover_check" in r else None])),
+                          if "cover_check" in r else None]),
+        csv=False),
     "dim": _Command(
         "dimension estimates of the level-k cover",
         (_LAMBDA, _K, _TOL), _dim_payload,
@@ -484,7 +469,8 @@ _COMMANDS: dict[str, _Command] = {
                ("band_count", "moran_value", "box_value", "box_stderr"),
                lambda r: [r["band_count"],
                           None if r["moran"] is None else r["moran"]["value"],
-                          r["box"]["value"], r["box"]["slope_stderr"]])),
+                          r["box"]["value"], r["box"]["slope_stderr"]]),
+        csv=False),
     "sum": _Command(
         "sum-set dimension comparison at one or two couplings",
         (_LAMBDA, _Flag("--lambda2", type=float, default=None), _K, _TOL),
@@ -507,7 +493,8 @@ _COMMANDS: dict[str, _Command] = {
         _Sweep("--a", (),
                ("log_ratio", "multiplier_p_closed", "multiplier_q_closed"),
                lambda r: [r["log_ratio"], r["period4"]["multiplier_closed"],
-                          r["period6"]["multiplier_closed"]])),
+                          r["period6"]["multiplier_closed"]]),
+        csv=False),
     "ifs": _Command(
         "linear IFS covers, dimensions, resonance checks",
         (_Flag("--ratios", default=None,
@@ -558,12 +545,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NO_CSV = "fibspec: csv output is only available for interval sets and sweeps"
+
+
 def _write_atomic(path: str, text: str):
+    """Write through a temp file and a rename; the file gets the mode a
+    plain ``open`` would give it under the current umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory,
                                prefix=os.path.basename(path) + ".",
                                suffix=".part")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -581,6 +576,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     command = _COMMANDS[args.command]
+    if args.format == "csv" and not command.csv:
+        print(_NO_CSV, file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     try:
         payload = command.payload(
@@ -596,9 +594,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     config, result, caveats, render_csv = payload
 
-    if args.format == "csv" and render_csv is None:
-        print("fibspec: csv output is only available for interval sets "
-              "and sweeps", file=sys.stderr)
+    if args.format == "csv" and render_csv is None:  # ifs --resonance
+        print(_NO_CSV, file=sys.stderr)
         return 1
     try:
         if args.format == "csv":
@@ -612,13 +609,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    print(f"fibspec: {args.command} finished in {elapsed_ms:.1f} ms",
-          file=sys.stderr)
-
     if args.out:
-        _write_atomic(args.out, text)
+        try:
+            _write_atomic(args.out, text)
+        except OSError as exc:
+            print(f"fibspec: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
+    print(f"fibspec: {args.command} finished in {elapsed_ms:.1f} ms",
+          file=sys.stderr)
     return 0
 
 

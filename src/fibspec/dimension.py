@@ -14,6 +14,9 @@ import numpy as np
 
 from .intervals import IntervalSet
 
+PARTITION_TOL = 1e-10
+"""Bracket width at which the partition-exponent bisection stops."""
+
 
 @dataclass(frozen=True)
 class DimensionEstimate:
@@ -66,46 +69,41 @@ def box_count(s: IntervalSet, eps: float) -> int:
     return int(np.sum(np.maximum(0, j1 - start + 1)))
 
 
-def box_dim_regression(
-    covers: list[IntervalSet],
-    eps: list[float],
-    skip_coarsest: int = 2,
-) -> DimensionEstimate:
-    """Least-squares slope of log N(eps) against log(1/eps).
+def box_dim_regression(covers: list[IntervalSet],
+                       eps: list[float]) -> DimensionEstimate:
+    """Least-squares slope of log N(eps) against log(1/eps) over every
+    level; callers choose the window by what they pass.
 
-    The two coarsest levels are excluded by default (transient regime);
-    pass ``skip_coarsest=0`` when the window is already curated.  At
-    least three levels must survive the cut.  All-equal counts are
-    returned as slope 0 with the degenerate flag set.
+    At least three levels are needed.  All-equal counts are returned as
+    slope 0 with the degenerate flag set.
     """
     if len(covers) != len(eps):
         raise ValueError("covers and eps must align")
-    if skip_coarsest < 0:
-        raise ValueError("skip_coarsest must be >= 0")
+    if len(covers) < 3:
+        raise ValueError(f"need at least 3 levels, have {len(covers)}")
     eps_arr = np.asarray(eps, dtype=float)
     if np.any(eps_arr <= 0):
         raise ValueError("cell sizes must be positive")
     if np.any(np.diff(eps_arr) >= 0):
         raise ValueError("cell sizes must be strictly decreasing (coarse to fine)")
-    idx = list(range(skip_coarsest, len(covers)))
-    if len(idx) < 3:
-        raise ValueError(f"need at least 3 levels after exclusions, have {len(idx)}")
-    counts = np.array([box_count(covers[i], eps_arr[i]) for i in idx], dtype=float)
+    levels = list(range(len(covers)))
+    counts = np.array([box_count(c, e) for c, e in zip(covers, eps_arr)],
+                      dtype=float)
     if np.any(counts == 0):
         raise ValueError("a cover level produced zero boxes (empty set?)")
     if np.all(counts == counts[0]):
-        return DimensionEstimate(0.0, 0.0, idx, "box", degenerate=True)
-    x = np.log(1.0 / eps_arr[idx])
+        return DimensionEstimate(0.0, 0.0, levels, "box", degenerate=True)
+    x = np.log(1.0 / eps_arr)
     y = np.log(counts)
     xc = x - x.mean()
     slope = float(np.dot(xc, y) / np.dot(xc, xc))
     resid = y - y.mean() - slope * xc
-    dof = len(idx) - 2
-    stderr = float(np.sqrt(np.dot(resid, resid) / dof / np.dot(xc, xc))) if dof > 0 else 0.0
-    return DimensionEstimate(float(np.clip(slope, 0.0, 2.0)), stderr, idx, "box")
+    stderr = float(np.sqrt(np.dot(resid, resid) / (len(levels) - 2)
+                           / np.dot(xc, xc)))
+    return DimensionEstimate(float(np.clip(slope, 0.0, 2.0)), stderr, levels, "box")
 
 
-def solve_partition_exponent(lengths: np.ndarray, tol: float = 1e-10) -> float:
+def solve_partition_exponent(lengths: np.ndarray) -> float:
     """The unique s in [0, 2] with sum(lengths**s) == 1, by bisection.
 
     Requires every length in (0, 1) and at least two entries, so the sum
@@ -125,7 +123,7 @@ def solve_partition_exponent(lengths: np.ndarray, tol: float = 1e-10) -> float:
     if g(hi) > 0:
         raise ValueError("partition sum still exceeds 1 at s = 2; not a contracting cover")
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= PARTITION_TOL:
             break
         mid = 0.5 * (lo + hi)
         if g(mid) > 0:
@@ -135,7 +133,7 @@ def solve_partition_exponent(lengths: np.ndarray, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def moran_dim(bands: IntervalSet, tol: float = 1e-10, approximate: bool = False) -> DimensionEstimate:
+def moran_dim(bands: IntervalSet, approximate: bool = False) -> DimensionEstimate:
     """Partition exponent of a band system: the s with sum(len_i**s) = 1.
 
     For the exact cover of a self-similar set this is the similarity
@@ -155,5 +153,5 @@ def moran_dim(bands: IntervalSet, tol: float = 1e-10, approximate: bool = False)
                                  approximate=approximate)
     if np.any(lengths <= 0):
         raise ValueError("degenerate bands not admitted in a multi-band system")
-    s = solve_partition_exponent(lengths, tol)
+    s = solve_partition_exponent(lengths)
     return DimensionEstimate(s, 0.0, [], "moran", approximate=approximate)

@@ -20,13 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigenvalueSeparationError, SizeCapError
+from .errors import EigenvalueSeparationError
 
 #: Inverse golden mean, the rotation number of the Fibonacci word.
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Pairwise-sum spectra are capped at this many entries.
-SQUARE_SAMPLE_CAP = 4_000_000
 
 #: Bisection passes before ``eigenvalues`` reports unresolved indices.
 _MAX_PASSES = 200
@@ -202,16 +199,3 @@ def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
         raise EigenvalueSeparationError(bad.tolist(), float(width.max()), tol)
     return np.sort(0.5 * (lo + hi))
 
-
-def square_eigenvalue_sample(e1: np.ndarray, e2: np.ndarray | None = None) -> np.ndarray:
-    """All pairwise sums of two eigenvalue lists, sorted ascending.
-
-    This is the exact spectrum of H1 (x) I + I (x) H2 on the tensor
-    product, i.e. the finite-section stand-in for the sum-set spectrum.
-    """
-    e1 = np.asarray(e1, dtype=float)
-    e2 = e1 if e2 is None else np.asarray(e2, dtype=float)
-    total = e1.size * e2.size
-    if total > SQUARE_SAMPLE_CAP:
-        raise SizeCapError("pairwise eigenvalue sums", total, SQUARE_SAMPLE_CAP)
-    return np.sort(np.add.outer(e1, e2).ravel())

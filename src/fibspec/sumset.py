@@ -44,17 +44,17 @@ EXCEPTIONAL_CAVEAT = (
 )
 
 
-def _refuse_over_cap(n_pairs: int, cap: int) -> None:
-    if n_pairs > cap:
-        raise SizeCapError("pairwise interval sums", n_pairs, cap)
+def _refuse_over_cap(n_pairs: int) -> None:
+    if n_pairs > SUM_PAIR_CAP:
+        raise SizeCapError("pairwise interval sums", n_pairs, SUM_PAIR_CAP)
 
 
-def minkowski_sum(a: IntervalSet, b: IntervalSet, *,
-                  cap: int = SUM_PAIR_CAP) -> IntervalSet:
-    """All pairwise sums of components of a and b, merged."""
+def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    """All pairwise sums of components of a and b, merged; refused above
+    SUM_PAIR_CAP pairs."""
     if not a or not b:
         raise ValueError("minkowski_sum requires two non-empty interval sets")
-    _refuse_over_cap(len(a) * len(b), cap)
+    _refuse_over_cap(len(a) * len(b))
     lo = np.add.outer(a.lo, b.lo).ravel()
     hi = np.add.outer(a.hi, b.hi).ravel()
     return IntervalSet.from_arrays(lo, hi)
@@ -89,49 +89,42 @@ class TheoremReport:
             raise ValueError("gap must be finite")
 
 
-def cover_scales(covers: list[IntervalSet]) -> list[float]:
-    """Natural counting scale of each cover: its widest component.
+def ladder_dimension(covers: list[IntervalSet]
+                     ) -> tuple[DimensionEstimate, DimensionEstimate | None]:
+    """Box and partition-exponent estimates from covers ordered coarse to
+    fine.
 
-    At that cell size a cover is indistinguishable from the set it
-    covers — no component spans more than one extra cell — so the count
-    is a covering number of the underlying set, not of the fattening.
+    The box estimate regresses over every level, each counted at its
+    own resolution: the width of its widest band.  At that cell size a
+    cover is indistinguishable from the set it covers — no component
+    spans more than one extra cell — so the count is a covering number
+    of the underlying set, not of the fattening.  The partition exponent
+    is that of the finest cover, or None where it means nothing: fewer
+    than two bands, a length outside (0, 1), or lengths summing to 1 or
+    more.
     """
-    return [c.max_length for c in covers]
-
-
-def moran_applicable(bands: IntervalSet) -> bool:
-    """Whether a partition exponent is meaningful for these bands:
-    at least two, every length in (0, 1), total length below 1."""
-    if len(bands) < 2:
-        return False
-    lengths = bands.lengths
-    return bool(np.all(lengths > 0) and np.all(lengths < 1)
-                and lengths.sum() < 1.0)
-
-
-def cover_box_dimension(covers: list[IntervalSet]) -> DimensionEstimate:
-    """Box regression over successive covers, each counted at its own
-    resolution (see cover_scales).  Expects covers ordered coarse to
-    fine, so the scales come out strictly decreasing."""
-    return box_dim_regression(covers, cover_scales(covers), skip_coarsest=0)
+    box = box_dim_regression(covers, [c.max_length for c in covers])
+    finest = covers[-1]
+    lengths = finest.lengths
+    if (len(finest) < 2 or np.any(lengths <= 0) or np.any(lengths >= 1)
+            or lengths.sum() >= 1.0):
+        return box, None
+    return box, moran_dim(finest, approximate=True)
 
 
 def _factor_report(covers: list[IntervalSet], which: str,
                    caveats: list[str]) -> DimensionEstimate:
-    """Box dimension of one factor, with a partition-exponent
-    cross-check on the finest cover when that is meaningful."""
-    est = cover_box_dimension(covers)
-    finest = covers[-1]
-    if moran_applicable(finest):
-        check = moran_dim(finest, approximate=True)
-        if abs(check.value - est.value) > CROSS_CHECK_TOL:
-            caveats.append(
-                f"{which}: partition-exponent cross-check {check.value:.4f} "
-                f"disagrees with the box estimate {est.value:.4f}")
-    else:
+    """Box dimension of one factor, with the partition exponent as a
+    cross-check."""
+    est, check = ladder_dimension(covers)
+    if check is None:
         caveats.append(
             f"{which}: cover bands too coarse for a partition-exponent "
             "cross-check")
+    elif abs(check.value - est.value) > CROSS_CHECK_TOL:
+        caveats.append(
+            f"{which}: partition-exponent cross-check {check.value:.4f} "
+            f"disagrees with the box estimate {est.value:.4f}")
     return est
 
 
@@ -155,12 +148,11 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
     levels, covers1 = cover_ladder(lambda1, k, tol)
     covers2 = covers1 if lambda2 == lambda1 else cover_ladder(lambda2, k, tol)[1]
     # Refuse an oversized finest sum before forming the coarser ones.
-    _refuse_over_cap(len(covers1[-1]) * len(covers2[-1]), SUM_PAIR_CAP)
+    _refuse_over_cap(len(covers1[-1]) * len(covers2[-1]))
 
     sums = [minkowski_sum(covers1[i], covers2[i]) for i in range(len(levels))]
-    sum_scales = [max(e1, e2) for e1, e2 in zip(cover_scales(covers1),
-                                                cover_scales(covers2))]
-    sum_dim = box_dim_regression(sums, sum_scales, skip_coarsest=0)
+    sum_dim = box_dim_regression(sums, [max(c1.max_length, c2.max_length)
+                                        for c1, c2 in zip(covers1, covers2)])
 
     caveats = [EXCEPTIONAL_CAVEAT]
     hd1 = _factor_report(covers1, "factor 1", caveats)
@@ -183,8 +175,3 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
         sum_cover=sums[-1],
         caveats=tuple(caveats),
     )
-
-
-def check_theorem_square(lam: float, k: int, tol: float = 1e-12) -> TheoremReport:
-    """Equal-coupling case: dim(cover + cover) against min(2*d, 1)."""
-    return check_theorem_rect(lam, lam, k, tol=tol)

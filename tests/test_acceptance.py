@@ -15,7 +15,7 @@ import pytest
 
 from fibspec import (apply_map_batch, apply_map_inverse_batch, attractor_cover,
                      band_hierarchy, box_dim_regression, check_theorem_rect,
-                     check_theorem_square, eigenvalues, fibonacci_number,
+                     eigenvalues, fibonacci_number,
                      fibonacci_tridiagonal, invariant, invariant_batch,
                      log_ratio, middle_thirds, minimal_period, minkowski_sum,
                      moran_dim, orbit_info_p, orbit_info_q, point_p, point_q,
@@ -116,7 +116,7 @@ def test_07_dimension_estimators_agree_on_middle_thirds():
     assert moran.value == pytest.approx(target, abs=1e-6)
     depths = range(4, 13)
     covers = [attractor_cover(thirds, d) for d in depths]
-    box = box_dim_regression(covers, [3.0 ** -d for d in depths])
+    box = box_dim_regression(covers[2:], [3.0 ** -d for d in depths][2:])
     assert box.value == pytest.approx(0.6309, abs=0.02)
     _passed("07", f"middle thirds: partition exponent {moran.value:.6f}, "
                   f"box estimate {box.value:.4f}")
@@ -154,12 +154,12 @@ def test_10_equal_ratio_sum_loses_dimension_mixed_ratio_does_not():
     eps = [0.25 ** d for d in depths]
     self_sum = [minkowski_sum(attractor_cover(quarters, d),
                               attractor_cover(quarters, d)) for d in depths]
-    deficit = box_dim_regression(self_sum, eps, skip_coarsest=0)
+    deficit = box_dim_regression(self_sum, eps)
     assert deficit.value == pytest.approx(math.log(3) / math.log(4), abs=0.02)
     assert deficit.value < 1.0
     mixed = [minkowski_sum(attractor_cover(thirds, d),
                            attractor_cover(quarters, d)) for d in depths]
-    full = box_dim_regression(mixed, eps, skip_coarsest=0)
+    full = box_dim_regression(mixed, eps)
     assert full.value == pytest.approx(1.0, abs=0.02)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -169,11 +169,11 @@ def test_10_equal_ratio_sum_loses_dimension_mixed_ratio_does_not():
 
 def test_11_square_sum_theorem_large_and_small_coupling():
     t0 = time.perf_counter()
-    large = check_theorem_square(20.0, 12)
+    large = check_theorem_rect(20.0, 20.0, 12)
     hd = large.hd1_est.value
     assert large.sum_dim_est.value <= min(2.0 * hd, 1.0) + 0.05
     assert abs(large.gap) <= 0.05
-    small = check_theorem_square(0.2, 14)
+    small = check_theorem_rect(0.2, 0.2, 14)
     assert len(small.sum_cover) == 1
     assert small.sum_dim_est.value >= 0.98
     elapsed = time.perf_counter() - t0

@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 
 import pytest
 
 from fibspec import cli
 from fibspec.errors import BandIsolationError
+from fibspec.sumset import CROSS_CHECK_TOL
 
 COMMANDS = [
     ["spectrum", "--lambda", "5", "--k", "6"],
@@ -155,6 +158,29 @@ def test_csv_refused_for_scalar_commands(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--lambda", "5", "--n", "2584", "--format", "csv"],
+    ["dim", "--lambda", "5", "--k", "19", "--format", "csv"],
+    ["periodic", "--a", "1", "--format", "csv"],
+], ids=lambda a: a[0])
+def test_csv_refused_before_any_computation(argv, monkeypatch, capsys):
+    def no_payload(**kwargs):
+        raise AssertionError("payload computed for a refused csv request")
+    monkeypatch.setitem(cli._COMMANDS, argv[0], dataclasses.replace(
+        cli._COMMANDS[argv[0]], payload=no_payload))
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fibspec: csv output is only available for "
+                            "interval sets and sweeps\n")
+
+
+def test_csv_refused_for_ifs_resonance(capsys):
+    assert cli.main(["ifs", "--resonance", "0.25", "0.5", "--format",
+                     "csv"]) == 1
+    assert "csv output is only available" in capsys.readouterr().err
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     _, straight = run(["dim", "--lambda", "5", "--k", "7"], capsys)
     target = tmp_path / "out.json"
@@ -162,6 +188,67 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text() == straight
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664),
+                                         (0o077, 0o600)],
+                         ids=["022", "002", "077"])
+def test_output_file_mode_honours_umask(umask, mode, tmp_path, capsys):
+    target = tmp_path / "o.json"
+    old = os.umask(umask)
+    try:
+        code = cli.main(["periodic", "--a", "1", "--out", str(target)])
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_one(where, tmp_path, capsys):
+    target = tmp_path / "missing" / "o.json" if where == "missing directory" \
+        else tmp_path
+    code = cli.main(["periodic", "--a", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"fibspec: cannot write {target}: ")
+    assert "finished" not in captured.err
+    assert list(tmp_path.rglob("*.part")) == []
+
+
+@pytest.mark.parametrize("lam, lam2, k, tol", [
+    ("20", None, "12", "1e-12"),   # partition exponent agrees with box
+    ("5", None, "8", "1e-10"),     # disagrees
+    ("1", None, "8", "1e-12"),     # bands too coarse for one
+    ("20", "1", "10", "1e-12"),    # two factors: disagrees, too coarse
+])
+def test_sum_factors_are_dim_estimates(lam, lam2, k, tol, capsys):
+    """sum's hd1/hd2 are dim's box estimates, and sum flags a factor
+    exactly where dim's partition exponent is missing or is more than
+    CROSS_CHECK_TOL from the box value."""
+    argv = ["sum", "--lambda", lam, "--k", k, "--tol", tol]
+    code, out = run(argv + ([] if lam2 is None else ["--lambda2", lam2]),
+                    capsys)
+    assert code == 0
+    doc = json.loads(out)
+    for key, factor, which in (("hd1", lam, "factor 1"),
+                               ("hd2", lam2 or lam, "factor 2")):
+        code, out = run(["dim", "--lambda", factor, "--k", k, "--tol", tol],
+                        capsys)
+        assert code == 0
+        dim = json.loads(out)["result"]
+        assert doc["result"][key] == dim["box"]
+        label = which if lam2 is not None else "both factors"
+        flagged = [c for c in doc["caveats"] if c.startswith(label + ":")]
+        if dim["moran"] is None:
+            assert flagged == [f"{label}: cover bands too coarse for a "
+                               "partition-exponent cross-check"]
+        elif abs(dim["moran"]["value"] - dim["box"]["value"]) > CROSS_CHECK_TOL:
+            assert len(flagged) == 1 and "disagrees" in flagged[0]
+        else:
+            assert flagged == []
 
 
 def test_sweep_rows_in_grid_order(capsys):

@@ -54,7 +54,7 @@ def test_regression_middle_thirds():
     depths = range(4, 13)
     covers = [thirds_cover(d) for d in depths]
     eps = [3.0 ** -d for d in depths]
-    est = box_dim_regression(covers, eps)
+    est = box_dim_regression(covers[2:], eps[2:])
     assert est.method == "box"
     assert not est.degenerate
     assert est.value == pytest.approx(LOG2_OVER_LOG3, abs=0.02)
@@ -63,7 +63,7 @@ def test_regression_middle_thirds():
 def test_regression_nested_intervals_degenerate():
     covers = [IntervalSet.from_arrays([0.0], [2.0 ** -k]) for k in range(1, 9)]
     eps = [2.0 ** -k for k in range(1, 9)]
-    est = box_dim_regression(covers, eps)
+    est = box_dim_regression(covers[2:], eps[2:])
     assert est.degenerate
     assert est.value == 0.0
 
@@ -74,10 +74,10 @@ def test_regression_full_interval_slope_one():
     from below as the levels deepen."""
     unit = IntervalSet.from_arrays([0.0], [1.0])
     eps = [2.0 ** -k for k in range(1, 9)]
-    est = box_dim_regression([unit] * len(eps), eps)
+    est = box_dim_regression([unit] * len(eps[2:]), eps[2:])
     assert est.value == pytest.approx(1.0, abs=0.05)
     deep = [2.0 ** -k for k in range(8, 15)]
-    est_deep = box_dim_regression([unit] * len(deep), deep, skip_coarsest=0)
+    est_deep = box_dim_regression([unit] * len(deep), deep)
     assert est_deep.value == pytest.approx(1.0, abs=5e-3)
     assert est_deep.value > est.value
 
@@ -85,14 +85,11 @@ def test_regression_full_interval_slope_one():
 def test_regression_input_validation():
     unit = IntervalSet.from_arrays([0.0], [1.0])
     with pytest.raises(ValueError):
-        box_dim_regression([unit] * 3, [0.5, 0.5, 0.25], skip_coarsest=0)
+        box_dim_regression([unit] * 3, [0.5, 0.5, 0.25])
     with pytest.raises(ValueError):
-        box_dim_regression([unit] * 2, [0.5, 0.25], skip_coarsest=0)
+        box_dim_regression([unit] * 2, [0.5, 0.25])
     with pytest.raises(ValueError):
-        box_dim_regression([unit] * 3, [0.5, 0.25], skip_coarsest=0)
-    with pytest.raises(ValueError):
-        box_dim_regression([unit] * 4, [0.5, 0.25, 0.125, 0.0625],
-                           skip_coarsest=2)
+        box_dim_regression([unit] * 3, [0.5, 0.25])
 
 
 def test_regression_scale_invariance():
@@ -101,11 +98,11 @@ def test_regression_scale_invariance():
     depths = range(3, 10)
     covers = [thirds_cover(d) for d in depths]
     eps = [3.0 ** -d for d in depths]
-    base = box_dim_regression(covers, eps)
+    base = box_dim_regression(covers[2:], eps[2:])
     for factor in (2.0, 0.125, 1024.0):
         scaled = [IntervalSet.from_arrays(c.lo * factor, c.hi * factor)
                   for c in covers]
-        est = box_dim_regression(scaled, [e * factor for e in eps])
+        est = box_dim_regression(scaled[2:], [e * factor for e in eps][2:])
         assert abs(est.value - base.value) < 1e-9
 
 
@@ -157,7 +154,7 @@ def test_estimators_agree_on_self_similar_sets():
         covers = [attractor_cover(ifs, d) for d in depths]
         ratio = ifs.ratios[0]
         eps = [ratio ** d for d in depths]
-        box = box_dim_regression(covers, eps)
+        box = box_dim_regression(covers[2:], eps[2:])
         moran = moran_dim(bands)
         assert abs(box.value - moran.value) <= 0.03
 

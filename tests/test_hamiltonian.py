@@ -5,9 +5,8 @@ import pytest
 
 import oracles
 from fibspec import (ALPHA, FibonacciPotential, TridiagonalMatrix,
-                     eigenvalues, fibonacci_tridiagonal,
-                     square_eigenvalue_sample)
-from fibspec.errors import EigenvalueSeparationError, SizeCapError
+                     eigenvalues, fibonacci_tridiagonal)
+from fibspec.errors import EigenvalueSeparationError
 
 from oracles import (plain_bisection_eigenvalues, plain_count_below,
                      substitution_word)
@@ -71,23 +70,6 @@ def test_sturm_count_matches_numpy():
     for t in rng.uniform(-3, 3, size=40):
         assert m.count_below(t) == int(np.sum(ref < t))
     assert np.allclose(eigenvalues(m), ref, atol=1e-9)
-
-
-def test_square_sample_examples():
-    assert np.allclose(square_eigenvalue_sample([-1, 1], [-1, 1]),
-                       [-2, 0, 0, 2])
-    assert np.allclose(square_eigenvalue_sample([0.0], [3.5, 4.5]),
-                       [3.5, 4.5])
-    r2 = math.sqrt(2)
-    got = square_eigenvalue_sample([-r2, 0, r2])
-    want = sorted([-2 * r2, -r2, -r2, 0, 0, 0, r2, r2, 2 * r2])
-    assert np.allclose(got, want)
-
-
-def test_square_sample_cap():
-    big = np.zeros(2001)
-    with pytest.raises(SizeCapError):
-        square_eigenvalue_sample(big, np.zeros(2000))
 
 
 def test_omega0_shift_changes_word_but_not_structure():

@@ -64,7 +64,7 @@ def test_box_regression_tracks_similarity_dim():
         depths = range(4, 11)
         covers = [attractor_cover(ifs, d) for d in depths]
         eps = [ifs.ratios[0] ** d for d in depths]
-        est = box_dim_regression(covers, eps, skip_coarsest=0)
+        est = box_dim_regression(covers, eps)
         assert abs(est.value - similarity_dim(ifs)) <= 0.02
 
 
@@ -106,7 +106,7 @@ def test_resonant_sum_dimension_deficit():
     covers = [minkowski_sum(attractor_cover(q, d), attractor_cover(q, d))
               for d in depths]
     eps = [0.25 ** d for d in depths]
-    est = box_dim_regression(covers, eps, skip_coarsest=0)
+    est = box_dim_regression(covers, eps)
     assert est.value == pytest.approx(math.log(3) / math.log(4), abs=0.02)
     assert est.value < 1 - 0.1
 
@@ -117,5 +117,5 @@ def test_non_resonant_sum_reaches_full_dimension():
     covers = [minkowski_sum(attractor_cover(t, d), attractor_cover(q, d))
               for d in depths]
     eps = [0.25 ** d for d in depths]
-    est = box_dim_regression(covers, eps, skip_coarsest=0)
+    est = box_dim_regression(covers, eps)
     assert est.value == pytest.approx(1.0, abs=0.02)

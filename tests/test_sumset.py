@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fibspec import (IntervalSet, TheoremReport, check_theorem_rect,
-                     check_theorem_square, cover_box_dimension, cover_ladder,
-                     cover_scales, minkowski_sum, moran_applicable)
+from fibspec import (IntervalSet, TheoremReport, box_dim_regression,
+                     check_theorem_rect, cover_ladder, ladder_dimension,
+                     minkowski_sum)
 from fibspec import sumset
 from fibspec.errors import SizeCapError
 from fibspec.spectrum import band_hierarchy
@@ -77,7 +77,7 @@ def test_pair_cap():
     lo = np.arange(n, dtype=float) * 2.0
     many = IntervalSet.from_arrays(lo, lo + 0.5)
     with pytest.raises(SizeCapError):
-        minkowski_sum(many, many, cap=1_000_000)
+        minkowski_sum(many, many)
 
 
 def test_sum_cover_levels_nest():
@@ -91,16 +91,25 @@ def test_sum_cover_levels_nest():
         prev = s
 
 
+def _finest_moran(finest):
+    """The partition exponent of a ladder whose finest cover is ``finest``."""
+    return ladder_dimension([iset((0, 4)), iset((0, 3)), finest])[1]
+
+
 def test_moran_applicability_rule():
-    assert moran_applicable(iset((0, 0.25), (0.5, 0.75)))
-    assert not moran_applicable(iset((0, 0.25)))
-    assert not moran_applicable(iset((0, 1.5), (2, 2.1)))
-    assert not moran_applicable(iset((0, 0.8), (1, 1.8)))  # lengths sum > 1
+    moran = _finest_moran(iset((0, 0.25), (0.5, 0.75)))
+    assert moran.value == pytest.approx(0.5, abs=1e-9)
+    assert moran.method == "moran" and moran.approximate
+    assert _finest_moran(iset((0, 0.25))) is None
+    assert _finest_moran(iset((0, 1.5), (2, 2.1))) is None
+    assert _finest_moran(iset((0, 0.8), (1, 1.8))) is None  # lengths sum > 1
 
 
 def test_cover_scales_are_max_widths():
-    covers = [iset((0, 0.5), (2, 2.25)), iset((0, 0.125), (2, 2.06))]
-    assert cover_scales(covers) == [0.5, 0.125]
+    covers = [iset((0, 0.5), (2, 2.25)), iset((0, 0.125), (2, 2.06)),
+              iset((0, 0.03), (2, 2.01))]
+    assert ladder_dimension(covers)[0] == box_dim_regression(
+        covers, [0.5, 0.125, 0.03])
 
 
 def test_cover_box_dimension_on_exact_thirds():
@@ -108,12 +117,12 @@ def test_cover_box_dimension_on_exact_thirds():
     depths = range(5, 11)
     covers = [fibspec.attractor_cover(fibspec.middle_thirds(), d)
               for d in depths]
-    est = cover_box_dimension(covers)
+    est = ladder_dimension(covers)[0]
     assert est.value == pytest.approx(np.log(2) / np.log(3), abs=0.02)
 
 
 def test_square_report_fields():
-    rep = check_theorem_square(8.0, 8)
+    rep = check_theorem_rect(8.0, 8.0, 8)
     assert isinstance(rep, TheoremReport)
     assert rep.lambda1 == rep.lambda2 == 8.0
     assert rep.levels == [5, 6, 7, 8]
@@ -124,18 +133,8 @@ def test_square_report_fields():
     assert rep.sum_dim_est.method == "box"
 
 
-def test_square_equals_rect_on_equal_couplings():
-    a = check_theorem_square(6.0, 7)
-    b = check_theorem_rect(6.0, 6.0, 7)
-    assert a.sum_dim_est.value == pytest.approx(b.sum_dim_est.value, abs=1e-12)
-    assert a.hd1_est.value == pytest.approx(b.hd1_est.value, abs=1e-12)
-    assert a.rhs == pytest.approx(b.rhs, abs=1e-12)
-    assert a.gap == pytest.approx(b.gap, abs=1e-12)
-    assert a.levels == b.levels
-
-
 def test_small_coupling_sum_cover_single_interval():
-    rep = check_theorem_square(0.2, 14)
+    rep = check_theorem_rect(0.2, 0.2, 14)
     assert len(rep.sum_cover) == 1
     assert rep.sum_dim_est.value >= 0.98
     assert any("cross-check" in c for c in rep.caveats)
@@ -148,9 +147,9 @@ def test_rect_small_couplings():
 
 def test_depth_preconditions():
     with pytest.raises(ValueError):
-        check_theorem_square(5.0, 2)
+        check_theorem_rect(5.0, 5.0, 2)
     with pytest.raises(ValueError):
-        check_theorem_square(5.0, 17)
+        check_theorem_rect(5.0, 5.0, 17)
 
 
 def test_cover_ladder_levels_and_covers():
@@ -173,7 +172,7 @@ def test_equal_couplings_build_one_ladder(monkeypatch):
     calls = []
     monkeypatch.setattr(sumset, "band_hierarchy",
                         lambda *args, **kw: calls.append(args) or band_hierarchy(*args, **kw))
-    check_theorem_square(8.0, 6)
+    check_theorem_rect(8.0, 8.0, 6)
     assert len(calls) == 1
     check_theorem_rect(8.0, 9.0, 6)
     assert len(calls) == 3
@@ -187,17 +186,17 @@ def test_pair_cap_refused_before_any_sum(monkeypatch):
                         lambda *args, **kw: calls.append(args) or minkowski_sum(*args, **kw))
     monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n_pairs - 1)
     with pytest.raises(SizeCapError) as info:
-        check_theorem_square(8.0, 8)
+        check_theorem_rect(8.0, 8.0, 8)
     assert str(info.value) == (f"pairwise interval sums: {n_pairs} items "
                                f"exceeds cap {n_pairs - 1}")
     assert calls == []
     monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n_pairs)
-    check_theorem_square(8.0, 8)
+    check_theorem_rect(8.0, 8.0, 8)
     assert len(calls) == 4
 
 
 def test_report_validates_rhs_and_gap():
-    rep = check_theorem_square(8.0, 8)
+    rep = check_theorem_rect(8.0, 8.0, 8)
     with pytest.raises(ValueError):
         TheoremReport(lambda1=1.0, lambda2=1.0, k=8, hd1_est=rep.hd1_est,
                       hd2_est=rep.hd2_est, sum_dim_est=rep.sum_dim_est,
@@ -214,5 +213,5 @@ def test_estimator_slack_bound():
     """A sum of genuine interval sets can never regress to a slope
     meaningfully above 1."""
     for lam, k in ((0.2, 14), (1.0, 10), (8.0, 8)):
-        rep = check_theorem_square(lam, k)
+        rep = check_theorem_rect(lam, lam, k)
         assert rep.sum_dim_est.value <= 1.02
