@@ -17,6 +17,8 @@ from .intervals import IntervalSet
 PARTITION_TOL = 1e-10
 """Bracket width at which the partition-exponent bisection stops."""
 
+_BLOCK_COMPONENTS = 1 << 16  # components box_count handles at a time
+
 
 @dataclass(frozen=True)
 class DimensionEstimate:
@@ -51,22 +53,24 @@ def box_count(s: IntervalSet, eps: float) -> int:
     double precision; a single-point component meets exactly one cell.
     The rule is a closed-set intersection count: an endpoint sitting on a
     cell boundary occupies the cell to its right, which can add one cell
-    beyond the positive-length overlaps.
+    beyond the positive-length overlaps.  Components are counted in
+    blocks, so the temporaries do not grow with the size of s.
     """
     if eps <= 0 or not math.isfinite(eps):
         raise ValueError("cell size must be positive and finite")
-    if not s:
-        return 0
-    j0 = np.floor(s.lo / eps).astype(np.int64)
-    j1 = np.floor(s.hi / eps).astype(np.int64)
-    if j0.size == 1:
-        return int(j1[0] - j0[0] + 1)
     # Components are sorted, so cell runs can only overlap earlier runs;
-    # clip each run to start past the running maximum.
-    prev_max = np.concatenate([[np.iinfo(np.int64).min],
-                               np.maximum.accumulate(j1)[:-1]])
-    start = np.maximum(j0, prev_max + 1)
-    return int(np.sum(np.maximum(0, j1 - start + 1)))
+    # clip each run to start past the highest cell counted so far, which
+    # carries from block to block.
+    total = 0
+    reach = np.iinfo(np.int64).min
+    for i in range(0, len(s), _BLOCK_COMPONENTS):
+        j0 = np.floor(s.lo[i:i + _BLOCK_COMPONENTS] / eps).astype(np.int64)
+        j1 = np.floor(s.hi[i:i + _BLOCK_COMPONENTS] / eps).astype(np.int64)
+        prev_max = np.maximum.accumulate(np.concatenate([[reach], j1]))
+        start = np.maximum(j0, prev_max[:-1] + 1)
+        total += int(np.sum(np.maximum(0, j1 - start + 1)))
+        reach = prev_max[-1]
+    return total
 
 
 def box_dim_regression(covers: list[IntervalSet],

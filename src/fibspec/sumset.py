@@ -25,11 +25,16 @@ import numpy as np
 
 from .dimension import DimensionEstimate, box_dim_regression, moran_dim
 from .errors import SizeCapError
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _normalize
 from .spectrum import band_hierarchy
 
 SUM_PAIR_CAP = 10_000_000
-"""Maximum number of pairwise interval sums formed before merging."""
+"""Maximum of len(a) * len(b) for a Minkowski sum of a and b: a bound on
+the work, which grows with the number of component pairs; the memory is
+bounded by the merge window and the output."""
+
+_WINDOW_PAIRS = 1 << 16  # pair sums merged together by minkowski_sum
+_SAMPLE_SIDE = 256  # window edges come from at most 256**2 sampled sums
 
 LADDER_LEVELS = 4
 """Cover levels k-3 .. k enter the sum-dimension regression."""
@@ -50,14 +55,93 @@ def _refuse_over_cap(n_pairs: int) -> None:
 
 
 def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """All pairwise sums of components of a and b, merged; refused above
-    SUM_PAIR_CAP pairs."""
+    """All pairwise sums of components of a and b, merged; refused when
+    len(a) * len(b) exceeds SUM_PAIR_CAP.
+
+    The pairs are formed and merged one window of left endpoints at a
+    time, so memory is bounded by the window and the output, not by the
+    number of pairs.  A self-sum (b is a) forms only the pairs j >= i:
+    fl(a_i + a_j) == fl(a_j + a_i), so the union is the same.  The
+    endpoints are the floats a.lo[i] + b.lo[j] and a.hi[i] + b.hi[j],
+    merged exactly as IntervalSet.from_arrays merges them.
+    """
     if not a or not b:
         raise ValueError("minkowski_sum requires two non-empty interval sets")
     _refuse_over_cap(len(a) * len(b))
-    lo = np.add.outer(a.lo, b.lo).ravel()
-    hi = np.add.outer(a.hi, b.hi).ravel()
-    return IntervalSet.from_arrays(lo, hi)
+    self_sum = a is b
+    if len(a) > len(b):
+        a, b = b, a  # rows are the shorter operand
+    rows = np.arange(len(a))
+    n_pairs = len(a) * (len(a) + 1) // 2 if self_sum else len(a) * len(b)
+    out_lo: list[np.ndarray] = []
+    out_hi: list[np.ndarray] = []
+    run = -np.inf  # right end of the last component so far
+    edges = _window_edges(a.lo, b.lo, n_pairs)
+    first = np.zeros(len(a), dtype=np.int64)
+    for w in range(edges.size + 1):
+        stop = (_first_at_least(a.lo, b.lo, edges[w]) if w < edges.size
+                else np.full(len(a), len(b)))
+        # row i's pairs in this window are the columns first[i]:stop[i]
+        if self_sum:
+            lo_col, hi_col = np.maximum(first, rows), np.maximum(stop, rows)
+        else:
+            lo_col, hi_col = first, stop
+        first = stop
+        counts = hi_col - lo_col
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        offsets = np.cumsum(counts) - counts
+        pair_row = np.repeat(rows, counts)
+        pair_col = np.arange(total) + np.repeat(lo_col - offsets, counts)
+        wlo, whi = _normalize(a.lo[pair_row] + b.lo[pair_col],
+                              a.hi[pair_row] + b.hi[pair_col])
+        # Components that reach back to the running right end continue
+        # the last component of the previous windows.
+        joined = int(np.searchsorted(wlo, run, side="right"))
+        if joined:
+            run = max(run, float(whi[joined - 1]))
+            out_hi[-1][-1] = run
+            wlo, whi = wlo[joined:], whi[joined:]
+        if wlo.size:
+            out_lo.append(wlo)
+            out_hi.append(whi)
+            run = float(whi[-1])
+    return IntervalSet._from_normalized(np.concatenate(out_lo),
+                                        np.concatenate(out_hi))
+
+
+def _window_edges(a_lo: np.ndarray, b_lo: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Left-endpoint edges that split n_pairs pair sums into windows of
+    about _WINDOW_PAIRS each, from quantiles of a strided sample."""
+    n_windows = -(-n_pairs // _WINDOW_PAIRS)
+    if n_windows <= 1:
+        return np.empty(0)
+    sample = np.sort(np.add.outer(a_lo[::-(-a_lo.size // _SAMPLE_SIDE)],
+                                  b_lo[::-(-b_lo.size // _SAMPLE_SIDE)]),
+                     axis=None)
+    return np.unique(sample[np.arange(1, n_windows) * sample.size // n_windows])
+
+
+def _first_at_least(a_lo: np.ndarray, b_lo: np.ndarray, edge: float) -> np.ndarray:
+    """For each row i, the first column j with fl(a_lo[i] + b_lo[j]) >= edge.
+
+    searchsorted on edge - a_lo[i] can be off where that difference
+    rounds; the float sums are monotone in j, so stepping until they
+    straddle the edge gives the exact column.
+    """
+    m = b_lo.size
+    j = np.searchsorted(b_lo, edge - a_lo)
+    while True:
+        back = (j > 0) & (a_lo + b_lo[j - 1] >= edge)
+        if not back.any():
+            break
+        j -= back
+    while True:
+        ahead = (j < m) & (a_lo + b_lo[np.minimum(j, m - 1)] < edge)
+        if not ahead.any():
+            return j
+        j += ahead
 
 
 @dataclass(frozen=True)
@@ -131,12 +215,27 @@ def _factor_report(covers: list[IntervalSet], which: str,
 def cover_ladder(lam: float, k: int,
                  tol: float = 1e-12) -> tuple[list[int], list[IntervalSet]]:
     """Cover levels k-3 .. k and the two-level covers sigma_j | sigma_{j+1}
-    at those levels, coarse to fine, from one band hierarchy."""
+    at those levels, coarse to fine, from one band hierarchy.
+
+    Each cover is counted at the width of its widest band, so those
+    widths must strictly shrink with depth.  Consecutive covers share
+    sigma_{j+1}, and where its widest band is the widest of both covers
+    the ladder is refused (ValueError naming the two levels).  The sum's
+    scales are the larger of two factors' widths, so they shrink whenever
+    both factor ladders do.
+    """
     if not (k >= LADDER_LEVELS - 1):
         raise ValueError(f"need k >= {LADDER_LEVELS - 1} for the level ladder")
     levels = list(range(k - LADDER_LEVELS + 1, k + 1))
     hier = band_hierarchy(lam, k + 1, tol=tol)
-    return levels, [hier[j].union(hier[j + 1]) for j in levels]
+    covers = [hier[j].union(hier[j + 1]) for j in levels]
+    for j, coarse, fine in zip(levels, covers, covers[1:]):
+        if fine.max_length >= coarse.max_length:
+            raise ValueError(
+                f"cover levels {j} and {j + 1} at lambda={lam:g} share their "
+                f"widest band (width {fine.max_length:.6g}), so the box-count "
+                "scales do not shrink with depth")
+    return levels, covers
 
 
 def check_theorem_rect(lambda1: float, lambda2: float, k: int,

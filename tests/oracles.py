@@ -212,3 +212,30 @@ def unblocked_scan_parents(lam: float, k: int, parents: IntervalSet,
     if inside[-1]:
         ends = np.concatenate([ends, [inside.size]])
     return IntervalSet.from_arrays(cuts[starts], cuts[ends])
+
+
+# ----------------------------------------------------------------------
+# The Minkowski sum as it stood before it was cut into windows: every
+# pair sum formed at once, then sorted and merged in one piece.  The
+# library's windowed sum must return the same endpoints, bit for bit.
+# ----------------------------------------------------------------------
+
+def all_pairs_minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    """All pairwise sums of components of a and b, merged in one piece."""
+    lo = np.add.outer(a.lo, b.lo).ravel()
+    hi = np.add.outer(a.hi, b.hi).ravel()
+    return IntervalSet.from_arrays(lo, hi)
+
+
+def unblocked_box_count(s: IntervalSet, eps: float) -> int:
+    """Cells [j*eps, (j+1)*eps) met by s, counted over every component at once."""
+    if not s:
+        return 0
+    j0 = np.floor(s.lo / eps).astype(np.int64)
+    j1 = np.floor(s.hi / eps).astype(np.int64)
+    if j0.size == 1:
+        return int(j1[0] - j0[0] + 1)
+    prev_max = np.concatenate([[np.iinfo(np.int64).min],
+                               np.maximum.accumulate(j1)[:-1]])
+    start = np.maximum(j0, prev_max + 1)
+    return int(np.sum(np.maximum(0, j1 - start + 1)))

@@ -457,3 +457,20 @@ def test_weak_coupling_band_isolation_exits_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "level 7: found 20 bands, expected 21" in captured.err
+
+
+@pytest.mark.parametrize("argv, levels, width", [
+    (["dim", "--lambda", "0.2", "--k", "8"], (6, 7), "1.34555"),
+    (["dim", "--lambda", "0.3", "--k", "6"], (4, 5), "1.35642"),
+    (["sum", "--lambda", "5", "--k", "3"], (0, 1), "4"),
+    (["sum", "--lambda", "20", "--lambda2", "0.2", "--k", "12"], (9, 10),
+     "0.31904"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_shared_widest_band_refused_by_name(argv, levels, width, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lam = argv[argv.index("--lambda2") + 1] if "--lambda2" in argv else argv[2]
+    assert (f"fibspec: invalid arguments: cover levels {levels[0]} and "
+            f"{levels[1]} at lambda={lam} share their widest band "
+            f"(width {width})") in captured.err

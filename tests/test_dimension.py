@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fibspec import (DimensionEstimate, attractor_cover, box_count,
                      box_dim_regression, middle_thirds, moran_dim,
                      quarter_corners, solve_partition_exponent)
+from fibspec import dimension
 from fibspec.intervals import IntervalSet
+from fibspec.sumset import cover_ladder, minkowski_sum
 
 LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 
@@ -34,6 +37,21 @@ def test_box_count_shared_cell_not_double_counted():
     s = IntervalSet.from_arrays([0.0, 0.4], [0.1, 0.6])
     # both components touch cell j=0 at eps=0.5
     assert box_count(s, 0.5) == 2
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_blocked_box_count_matches_unblocked(block, monkeypatch):
+    """With tiny blocks one run of cells spans many blocks: the first
+    component below is wide, the rest sit in cells it already met."""
+    wide_first = IntervalSet.from_arrays(
+        np.concatenate([[0.0], 1.1 + np.arange(20) * 0.05]),
+        np.concatenate([[1.05], 1.12 + np.arange(20) * 0.05]))
+    sums = [minkowski_sum(c, c) for c in cover_ladder(5.0, 9)[1]]
+    monkeypatch.setattr(dimension, "_BLOCK_COMPONENTS", block)
+    for s, eps_list in [(wide_first, (1.0, 0.3, 0.01))] + [
+            (s, (s.max_length, s.max_length / 16, 1.0)) for s in sums]:
+        for eps in eps_list:
+            assert box_count(s, eps) == oracles.unblocked_box_count(s, eps)
 
 
 def test_box_count_rejects_bad_eps():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from fibspec import sumset
 from fibspec.errors import SizeCapError
 from fibspec.spectrum import band_hierarchy
 from fibspec.sumset import EXCEPTIONAL_CAVEAT
+
+import oracles
 
 
 def iset(*pairs):
@@ -215,3 +219,125 @@ def test_estimator_slack_bound():
     for lam, k in ((0.2, 14), (1.0, 10), (8.0, 8)):
         rep = check_theorem_rect(lam, lam, k)
         assert rep.sum_dim_est.value <= 1.02
+
+
+def assert_same_endpoints(got, want):
+    assert np.array_equal(got.lo, want.lo)
+    assert np.array_equal(got.hi, want.hi)
+
+
+@pytest.mark.parametrize("window", [None, 61])
+@pytest.mark.parametrize("lam1, lam2, k", [(0.5, 0.5, 14), (2.0, 2.0, 14),
+                                           (5.0, 5.0, 14), (20.0, 20.0, 14),
+                                           (20.0, 30.0, 13)])
+def test_windowed_sum_matches_all_pairs(lam1, lam2, k, window, monkeypatch):
+    """Every ladder level of the sum check, at the real window and at a
+    window of a few dozen pairs; the self-sums pass the same object."""
+    if window is not None:
+        k -= 4  # keep the number of tiny windows small
+        monkeypatch.setattr(sumset, "_WINDOW_PAIRS", window)
+    covers1 = cover_ladder(lam1, k)[1]
+    covers2 = covers1 if lam2 == lam1 else cover_ladder(lam2, k)[1]
+    for c1, c2 in zip(covers1, covers2):
+        assert_same_endpoints(minkowski_sum(c1, c2),
+                              oracles.all_pairs_minkowski_sum(c1, c2))
+
+
+def _points(*xs):
+    return IntervalSet.from_arrays(xs, xs)
+
+
+HAND_MADE = {
+    "wide component": (iset((0, 100), (200, 200.5)),
+                       IntervalSet.from_arrays(np.arange(50.0), np.arange(50.0) + 0.25)),
+    "touching": (iset((0, 1), (3, 4)), iset((0, 0), (1, 2))),
+    "unit touch": (iset((0, 1)), iset((1, 2))),
+    "points": (_points(0.0, 1.0, 2.5), _points(0.0, 0.5)),
+    "point and set": (_points(0.1), IntervalSet.from_arrays(
+        np.arange(300.0) * 3, np.arange(300.0) * 3 + 1)),
+    "sizes 3 and 500": (iset((0, 0.01), (7, 7.5), (40, 41)),
+                        IntervalSet.from_arrays(np.arange(500.0) / 7,
+                                                np.arange(500.0) / 7 + 1e-3)),
+}
+
+
+@pytest.mark.parametrize("window", [1, 2, 5])
+@pytest.mark.parametrize("case", HAND_MADE)
+def test_windowed_sum_hand_made(case, window, monkeypatch):
+    monkeypatch.setattr(sumset, "_WINDOW_PAIRS", window)
+    a, b = HAND_MADE[case]
+    want = oracles.all_pairs_minkowski_sum(a, b)
+    assert_same_endpoints(minkowski_sum(a, b), want)
+    assert_same_endpoints(minkowski_sum(b, a), want)
+    assert_same_endpoints(minkowski_sum(a, a), oracles.all_pairs_minkowski_sum(a, a))
+
+
+def test_windowed_sum_random_sets(monkeypatch):
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        monkeypatch.setattr(sumset, "_WINDOW_PAIRS", int(rng.integers(1, 40)))
+        monkeypatch.setattr(sumset, "_SAMPLE_SIDE", int(rng.integers(1, 10)))
+        sets = []
+        for _ in range(2):
+            x = np.sort(rng.uniform(-5, 5, 2 * int(rng.integers(1, 30))))
+            if rng.random() < 0.5:
+                x = np.round(x * 4) / 4  # touching and point components
+            sets.append(IntervalSet.from_arrays(x[::2], x[1::2]))
+        a, b = sets
+        assert_same_endpoints(minkowski_sum(a, b),
+                              oracles.all_pairs_minkowski_sum(a, b))
+        assert_same_endpoints(minkowski_sum(a, a),
+                              oracles.all_pairs_minkowski_sum(a, a))
+
+
+def test_window_cut_is_exact():
+    """searchsorted on edge - a_i misses the first column with
+    fl(a_i + b_j) >= edge both ways when the difference rounds; the cut
+    must not."""
+    rng = np.random.default_rng(12)
+    a = np.sort(np.concatenate([2.0**53 + 2 * rng.integers(0, 50, 40),
+                                rng.uniform(-3, 3, 40)
+                                * 10.0 ** rng.integers(-17, 1, 40)]))
+    b = np.unique(np.concatenate([rng.integers(-40, 200, 60) / 4,
+                                  rng.uniform(-3, 3, 60)]))
+    sums = np.add.outer(a, b).ravel()
+    missed = np.zeros(2, dtype=int)
+    for edge in np.concatenate([sums[::29], np.nextafter(sums[::31], np.inf)]):
+        want = [int(np.argmax(np.append(x + b >= edge, True))) for x in a]
+        assert sumset._first_at_least(a, b, edge).tolist() == want
+        naive = np.searchsorted(b, edge - a)
+        missed += [np.sum(naive > want), np.sum(naive < want)]
+    assert np.all(missed > 0)
+
+
+def test_self_sum_forms_each_unordered_pair_once(monkeypatch):
+    cover = cover_ladder(5.0, 10)[1][-1]
+    copy = IntervalSet.from_arrays(cover.lo.copy(), cover.hi.copy())
+    merged = []
+    normalize = sumset._normalize
+
+    def counting_normalize(lo, hi):
+        merged.append(lo.size)
+        return normalize(lo, hi)
+
+    monkeypatch.setattr(sumset, "_WINDOW_PAIRS", 500)
+    monkeypatch.setattr(sumset, "_normalize", counting_normalize)
+    self_sum = minkowski_sum(cover, cover)
+    n = len(cover)
+    assert sum(merged) == n * (n + 1) // 2
+    assert len(merged) > 10
+    merged.clear()
+    assert_same_endpoints(minkowski_sum(cover, copy), self_sum)
+    assert sum(merged) == n * n
+
+
+def test_sum_check_memory_stays_small():
+    """The finest self-sum at lambda = 20, k = 14 has 1220**2 pairs; the
+    windowed merge must never hold them all at once."""
+    tracemalloc.start()
+    try:
+        check_theorem_rect(20.0, 20.0, 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
