@@ -13,8 +13,8 @@ class BandIsolationError(RuntimeError):
 
     The band count of a trace-map approximant must equal the Fibonacci
     degree of the half-trace polynomial at every coupling.  Carries the
-    offending level and the count observed at the highest grid density
-    tried.
+    offending level and its count once every parent that held too few
+    bands had been rescanned on its finest grid.
     """
 
     def __init__(self, lam: float, level: int, found: int, expected: int):

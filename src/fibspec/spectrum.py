@@ -24,17 +24,24 @@ hierarchical refinement below.
 
 The F_k bands are disjoint for lam > 4 (Raymond), and every gap of the
 spectrum is open at every lam > 0 (Damanik-Gorodetski-Yessen), so the
-band count of every level is certified against F_k at every coupling;
-the local grids escalate 4x up to three times before the computation
-fails loudly.
+band count of every level is certified against F_k at every coupling.
+Each parent's grid is sized by the bands it must hold: a parent into
+which c bands of the two previous levels merged gets min(16 c, 256)
+points, and the c of all parents sum to F_k.  While a level's count
+differs from F_k, only the parents holding fewer than c bands are
+rescanned, climbing through 256, 1024, 4096 and 16384 points; the others
+keep their bands.  When the short parents have reached the last rung the
+computation fails loudly.  c only chooses what to rescan: the count of
+the whole level is the certificate.
 
 One kernel, ``_half_trace``, evaluates x_k for the grid scan, the root
 bisection and the membership test alike.  It runs the recursion in place
-in four rows of scratch, with no temporary per step.  The scan walks the parents in blocks of
-about ``_BLOCK_POINTS`` grid points, so its memory does not grow with the
-number of parents or the grid density; every bracket found is bisected
-together afterwards.  Blocking changes no float operation, so the bands
-are the same floats as those of a scan over one whole grid.
+in four rows of scratch, with no temporary per step.  The scan walks the
+parents in blocks of whole parents and about ``_BLOCK_POINTS`` grid
+points, so its memory does not grow with the number of parents or the
+grid density; every bracket found is bisected together afterwards.
+Blocking changes no float operation, so the bands are the same floats as
+those of a scan over one whole grid of the same per-parent sizes.
 """
 
 from __future__ import annotations
@@ -47,10 +54,11 @@ import numpy as np
 from .errors import BandIsolationError
 from .intervals import IntervalSet
 
-# Local scan resolution per parent band, and the escalation policy.
-_BASE_POINTS = 256
-_ESCALATIONS = 3
-_ESCALATION_FACTOR = 4
+# Local scan resolution per parent band: a parent first gets
+# _POINTS_PER_BAND points per band it is expected to hold, at most
+# _RUNGS[0]; a parent that comes up short climbs the rungs.
+_POINTS_PER_BAND = 16
+_RUNGS = (256, 1024, 4096, 16384)
 _BLOCK_POINTS = 16384  # grid points per block of the scan
 
 
@@ -108,9 +116,13 @@ def _bisect_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
     """Refine sign-change brackets of x_k - shift by simultaneous bisection.
 
     ``shift`` is per-bracket, so crossings of +1 and -1 refine together.
+    Raises ValueError if a bracket is still wider than ``tol`` when the
+    passes run out: a bracket one float spacing wide cannot be halved.
     """
-    # Bracket widths shrink by half each pass; 1e-12 from a ~1e-1 start
-    # needs < 40 passes, so 64 is comfortable for every desk-scale call.
+    # Bracket widths shrink by half each pass down to one float spacing.
+    # band_hierarchy refuses a tol below the spacing of its energy window,
+    # and a bracket no wider than that window, 2 * (lam + 3), is below
+    # 2**54 of its spacings, so 64 passes always reach tol there.
     for _ in range(64):
         if np.all(hi - lo <= tol):
             break
@@ -118,46 +130,62 @@ def _bisect_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
         same = (_half_trace(lam, mid, k) > shift) == glo_pos
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
+    width = float(np.max(hi - lo, initial=0.0))
+    if width > tol:
+        raise ValueError(f"bisection stopped at bracket width {width:.3g}, "
+                         f"above the tolerance {tol:.3g}")
     return 0.5 * (lo + hi)
 
 
 def _scan_parents(lam: float, k: int, parents: IntervalSet,
-                  points: int, tol: float) -> IntervalSet:
+                  points: int | np.ndarray, tol: float) -> IntervalSet:
     """Locate the bands of sigma_k inside each parent interval.
 
     Scans a uniform local grid per parent for sign changes of
-    x_k -(+1) and x_k -(-1), a block of about ``_BLOCK_POINTS`` grid
-    points at a time, bisects every bracket (all parents at once), then
-    classifies the gaps between consecutive certified roots by a
-    midpoint membership test.  Bands are clipped to their parent, which
-    is harmless: the covering property puts every true band inside some
-    parent.
+    x_k -(+1) and x_k -(-1), a block of whole parents and about
+    ``_BLOCK_POINTS`` grid points at a time, bisects every bracket (all
+    parents at once), then classifies the gaps between consecutive
+    certified roots by a midpoint membership test.  ``points`` is one
+    grid size for every parent or one per parent; parent p's grid is
+    lo_p + width_p * np.linspace(0, 1, points[p]) in whichever block it
+    falls.  Bands are clipped to their parent, which is harmless: the
+    covering property puts every true band inside some parent.
     """
     n_par = len(parents)
     if n_par == 0:
         return IntervalSet()
-    steps = np.linspace(0.0, 1.0, points)
+    points = np.broadcast_to(np.asarray(points, dtype=np.int64), (n_par,))
     widths = parents.hi - parents.lo
-    rows = min(n_par, max(1, _BLOCK_POINTS // points))
-    grid_rows = np.empty((rows, points))
+    ends = np.cumsum(points)  # the ragged grid's offset just past each parent
+    starts = ends - points
 
     # Collect sign-change brackets for both target levels, block by block.
     blo, bhi, bpos, bshift, bparent = [], [], [], [], []
-    for p0 in range(0, n_par, rows):
-        grid = grid_rows[:n_par - p0]
-        block = slice(p0, p0 + len(grid))
-        np.multiply(widths[block, None], steps, out=grid)
-        grid += parents.lo[block, None]
-        vals = _half_trace(lam, grid.reshape(-1), k).reshape(grid.shape)
+    p0 = 0
+    while p0 < n_par:
+        p1 = max(p0 + 1, int(np.searchsorted(ends, starts[p0] + _BLOCK_POINTS, "right")))
+        n = points[p0:p1]
+        owner = np.repeat(np.arange(p1 - p0), n)
+        last = ends[p0:p1] - starts[p0] - 1  # each parent's last point in the block
+        # j * (1 / (n - 1)) with the last point set to 1 is np.linspace(0, 1, n)
+        grid = np.arange(owner.size) - (starts[p0:p1] - starts[p0])[owner]
+        grid = grid * (1.0 / (n - 1))[owner]
+        grid[last] = 1.0
+        grid *= widths[p0:p1][owner]
+        grid += parents.lo[p0:p1][owner]
+        vals = _half_trace(lam, grid, k)
         for shift in (1.0, -1.0):
             gp = vals > shift
-            flip_p, flip_j = np.nonzero(gp[:, :-1] != gp[:, 1:])
-            if flip_p.size:
-                blo.append(grid[flip_p, flip_j])
-                bhi.append(grid[flip_p, flip_j + 1])
-                bpos.append(gp[flip_p, flip_j])
-                bshift.append(np.full(flip_p.size, shift))
-                bparent.append(flip_p + p0)
+            flip = gp[:-1] != gp[1:]
+            flip[last[:-1]] = False  # no bracket across the seam of two parents
+            j = np.flatnonzero(flip)
+            if j.size:
+                blo.append(grid[j])
+                bhi.append(grid[j + 1])
+                bpos.append(gp[j])
+                bshift.append(np.full(j.size, shift))
+                bparent.append(owner[j] + p0)
+        p0 = p1
     if blo:
         roots = _bisect_roots(lam, k, np.concatenate(blo), np.concatenate(bhi),
                               np.concatenate(bpos), np.concatenate(bshift), tol)
@@ -200,16 +228,35 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
     return IntervalSet.from_arrays(cuts[starts], cuts[ends])
 
 
-def _level_bands(lam: float, k: int, parents: IntervalSet, tol: float) -> IntervalSet:
-    """Bands of sigma_k inside ``parents``, certified to number F_k."""
+def _level_bands(lam: float, k: int, parents: IntervalSet,
+                 expect: np.ndarray, tol: float) -> IntervalSet:
+    """Bands of sigma_k inside ``parents``, certified to number F_k.
+
+    ``expect[p]`` is the number of bands of the two levels before k that
+    merged into parent p; these numbers sum to F_k.  Parent p is first
+    scanned at min(_POINTS_PER_BAND * expect[p], _RUNGS[0]) points.  While
+    the level's count differs from F_k, the parents that hold fewer than
+    ``expect[p]`` bands are rescanned at their next rung, up to the last
+    of ``_RUNGS``; the other parents keep their bands.  Only the count of
+    the whole level certifies: ``expect`` just chooses what to rescan.
+    """
     expected = fibonacci_number(k)
-    points = _BASE_POINTS
-    for _ in range(_ESCALATIONS + 1):
-        bands = _scan_parents(lam, k, parents, points, tol)
-        if len(bands) == expected:
-            return bands
-        points *= _ESCALATION_FACTOR
-    raise BandIsolationError(lam, k, len(bands), expected)
+    points = np.minimum(_POINTS_PER_BAND * expect, _RUNGS[0])
+    bands = _scan_parents(lam, k, parents, points, tol)
+    while len(bands) != expected:
+        owner = np.searchsorted(parents.lo, bands.lo, "right") - 1
+        found = np.bincount(owner, minlength=len(parents))
+        short = (found < expect) & (points < _RUNGS[-1])
+        if not short.any():
+            raise BandIsolationError(lam, k, len(bands), expected)
+        points[short] = np.take(_RUNGS, np.searchsorted(_RUNGS, points[short], "right"))
+        rescanned = _scan_parents(
+            lam, k, IntervalSet._from_normalized(parents.lo[short], parents.hi[short]),
+            points[short], tol)
+        kept = ~short[owner]
+        bands = IntervalSet.from_arrays(np.concatenate([bands.lo[kept], rescanned.lo]),
+                                        np.concatenate([bands.hi[kept], rescanned.hi]))
+    return bands
 
 
 def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[IntervalSet]:
@@ -228,13 +275,20 @@ def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[IntervalS
         raise ValueError("level must be >= 0")
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be finite and > 0")
+    spacing = float(np.spacing(lam + 3.0))
+    if tol < spacing:
+        raise ValueError(f"tolerance {tol:.3g} is below the float spacing "
+                         f"{spacing:.3g} of energies near {lam + 3.0:g}")
     window = IntervalSet([(-2.0 - lam - 1.0, 2.0 + lam + 1.0)])
     levels: list[IntervalSet] = []
     for k in range(min(k_max, 1) + 1):
-        levels.append(_level_bands(lam, k, window, tol))
+        levels.append(_level_bands(lam, k, window, np.ones(1, dtype=np.int64), tol))
     for k in range(2, k_max + 1):
         parents = levels[k - 2].union(levels[k - 1])
-        levels.append(_level_bands(lam, k, parents, tol))
+        merged = np.concatenate([levels[k - 2].lo, levels[k - 1].lo])
+        expect = np.bincount(np.searchsorted(parents.lo, merged, "right") - 1,
+                             minlength=len(parents))
+        levels.append(_level_bands(lam, k, parents, expect, tol))
     return levels
 
 

@@ -6,8 +6,9 @@ recursions, no reuse of the library's band-finding or word logic.
 
 import numpy as np
 
-from fibspec import IntervalSet, multiplier_p_closed, multiplier_q_closed
-from fibspec.errors import EigenvalueSeparationError
+from fibspec import (IntervalSet, fibonacci_number, multiplier_p_closed,
+                     multiplier_q_closed)
+from fibspec.errors import BandIsolationError, EigenvalueSeparationError
 
 
 def dense_band_count(lam: float, k: int, refine: int = 64,
@@ -212,6 +213,29 @@ def unblocked_scan_parents(lam: float, k: int, parents: IntervalSet,
     if inside[-1]:
         ends = np.concatenate([ends, [inside.size]])
     return IntervalSet.from_arrays(cuts[starts], cuts[ends])
+
+
+def uniform_band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[IntervalSet]:
+    """sigma_0 .. sigma_{k_max} as found before grids were sized per parent.
+
+    Every parent of a level is scanned at 256 points by
+    ``unblocked_scan_parents``; while the level's count is short of F_k,
+    every parent is rescanned at 4x the points, up to 16384.  Endpoints of
+    the library's hierarchy must lie within ``tol`` of these.
+    """
+    window = IntervalSet([(-2.0 - lam - 1.0, 2.0 + lam + 1.0)])
+    levels: list[IntervalSet] = []
+    for k in range(k_max + 1):
+        parents = window if k < 2 else levels[k - 2].union(levels[k - 1])
+        expected = fibonacci_number(k)
+        for points in (256, 1024, 4096, 16384):
+            bands = unblocked_scan_parents(lam, k, parents, points, tol)
+            if len(bands) == expected:
+                break
+        else:
+            raise BandIsolationError(lam, k, len(bands), expected)
+        levels.append(bands)
+    return levels
 
 
 # ----------------------------------------------------------------------

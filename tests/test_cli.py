@@ -99,6 +99,16 @@ def test_non_finite_tol_exits_one(argv, tol, capsys):
     assert "fibspec: invalid arguments: tolerance must be finite" in err
 
 
+def test_tol_below_float_spacing_exits_one(capsys):
+    assert cli.main(["spectrum", "--lambda", "100000", "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("fibspec: invalid arguments: tolerance 1e-12 is below the float "
+            "spacing 1.46e-11 of energies near 100003") in captured.err
+    assert cli.main(["spectrum", "--lambda", "1000", "--k", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_numeric_failure_exit_two(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise BandIsolationError(20.0, 9, 54, 55)

@@ -175,18 +175,62 @@ def test_hierarchy_consistent_with_direct_bands():
 
 
 # ----------------------------------------------------------------------
-# The blocked scan against the unblocked one it replaced
+# The per-parent scan against the uniform scan it replaced
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("lam", [0.2, 0.5, 2.0, 5.0, 20.0])
-def test_hierarchy_bit_identical_to_unblocked_scan(lam, monkeypatch):
-    blocked = band_hierarchy(lam, 15)
-    monkeypatch.setattr(spectrum, "_scan_parents", oracles.unblocked_scan_parents)
-    unblocked = band_hierarchy(lam, 15)
-    assert len(blocked) == len(unblocked) == 16
-    for got, want in zip(blocked, unblocked):
-        assert np.array_equal(got.lo, want.lo)
-        assert np.array_equal(got.hi, want.hi)
+def test_hierarchy_within_tol_of_uniform_scan(lam):
+    """Grids sized per parent bisect from other brackets, so endpoints
+    move in their last bits, but never by more than ``tol``."""
+    tol = 1e-12
+    got = band_hierarchy(lam, 15, tol)
+    want = oracles.uniform_band_hierarchy(lam, 15, tol)
+    assert len(got) == len(want) == 16
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        assert np.max(np.abs(g.lo - w.lo)) <= tol
+        assert np.max(np.abs(g.hi - w.hi)) <= tol
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.2, 1.0, 5.0, 20.0])
+def test_bands_per_parent_equal_merged_count(lam):
+    """Each parent holds as many bands of level k as of levels k-2 and
+    k-1 together merged into it, at weak and strong coupling alike."""
+    levels = band_hierarchy(lam, 14)
+    for k in range(2, 15):
+        parents = levels[k - 2].union(levels[k - 1])
+
+        def per_parent(lo):
+            return np.bincount(np.searchsorted(parents.lo, lo, "right") - 1,
+                               minlength=len(parents))
+
+        merged = per_parent(np.concatenate([levels[k - 2].lo, levels[k - 1].lo]))
+        assert merged.sum() == fibonacci_number(k)
+        assert np.array_equal(per_parent(levels[k].lo), merged), k
+
+
+@pytest.mark.parametrize("lam, k, limit", [(5.0, 20, 1_600_000), (0.05, 20, 10_000_000)])
+def test_half_trace_evaluations_bounded(lam, k, limit, monkeypatch):
+    """x_k point evaluations per hierarchy; the uniform 256-point scan
+    made 6,240,342 at (5, 20) and 48,008,889 at (0.05, 20)."""
+    evaluations = []
+    kernel = spectrum._half_trace
+
+    def counted(lam, E, k):
+        evaluations.append(E.size)
+        return kernel(lam, E, k)
+
+    monkeypatch.setattr(spectrum, "_half_trace", counted)
+    assert len(band_hierarchy(lam, k)[k]) == fibonacci_number(k)
+    assert sum(evaluations) <= limit
+
+
+def test_weak_coupling_answered_after_rescans():
+    """At coupling 0.015 levels 3 to 9 each need rescans, and the count
+    found is not monotone in the grid size (level 7 finds 9, 5 and 21 of
+    its 21 bands at 256, 1024 and 4096 points).  The uniform scan answers
+    this hierarchy, and so must the per-parent one."""
+    assert len(band_hierarchy(0.015, 9)[9]) == fibonacci_number(9)
 
 
 @pytest.mark.parametrize("points, n_parents", [(256, None), (1024, None), (16384, 3)])
@@ -205,8 +249,10 @@ def test_scan_bit_identical_to_unblocked_scan(points, n_parents):
     assert np.array_equal(got.hi, want.hi)
 
 
-@pytest.mark.parametrize("lam, k, level, found, expected",
-                         [(100.0, 12, 12, 220, 233), (1000.0, 9, 8, 33, 34)])
+@pytest.mark.parametrize("lam, k, level, found, expected", [
+    (0.01, 20, 7, 20, 21), (0.015, 20, 10, 88, 89), (0.02, 20, 10, 86, 89),
+    (0.025, 20, 12, 232, 233), (0.03, 20, 9, 54, 55), (0.035, 20, 15, 986, 987),
+    (100.0, 12, 12, 220, 233), (1000.0, 9, 8, 33, 34)])
 def test_escalation_failure_unchanged(lam, k, level, found, expected):
     with pytest.raises(BandIsolationError) as info:
         band_hierarchy(lam, k)
@@ -225,3 +271,29 @@ def test_escalated_scan_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# ----------------------------------------------------------------------
+# The tolerance against the float spacing of the energies
+# ----------------------------------------------------------------------
+
+def test_tol_below_float_spacing_refused():
+    # doubles near 1e5 are 1.46e-11 apart, so no bracket reaches 1e-12
+    with pytest.raises(ValueError, match="float spacing 1.46e-11"):
+        band_hierarchy(1e5, 2)
+    with pytest.raises(ValueError, match="float spacing 1.14e-13"):
+        band_hierarchy(1000.0, 2, tol=1e-13)
+    assert len(band_hierarchy(1e5, 2, tol=2e-11)[2]) == 2
+
+
+def test_tol_above_float_spacing_answered_at_strong_coupling():
+    levels = band_hierarchy(1000.0, 7)  # spacing 1.14e-13 near 1003
+    assert [len(s) for s in levels] == [fibonacci_number(k) for k in range(8)]
+
+
+def test_bisection_refuses_to_stop_short_of_tol():
+    lo = np.array([1.0])
+    hi = np.nextafter(lo, 2.0)  # one ulp: bisection cannot shrink it
+    with pytest.raises(ValueError, match="above the tolerance"):
+        spectrum._bisect_roots(5.0, 3, lo, hi, np.array([True]), np.array([1.0]),
+                               1e-17)
