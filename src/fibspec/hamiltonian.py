@@ -10,7 +10,10 @@ truncation on sites 1..n, so the diagonal is a natural prefix of the word.
 
 Eigenvalues come from Sturm-sequence counting plus bisection — an
 implementation deliberately independent of the trace-map pipeline, so the
-two can cross-validate each other.
+two can cross-validate each other.  The count walks the sites in blocks,
+at two NumPy calls per site, and tallies the negative pivots once per
+block from the sign bits of their reciprocals; the eigensolver shares
+counts between brackets and stops at the first pass that moves none.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ _MAX_PASSES = 200
 #: Fewest points one Sturm sweep of ``eigenvalues`` may count; the most is
 #: this or the matrix size, whichever is larger.
 _SWEEP_POINTS_MIN = 512
+
+#: Sites per block of ``TridiagonalMatrix.count_below``: the negative
+#: pivots are tallied once per block.
+_COUNT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -90,26 +97,53 @@ class TridiagonalMatrix:
         comes out exactly zero, that eigenvalue is counted, and the count
         there is of eigenvalues <= t.  Each entry of a vector ``t`` is
         counted independently of the others.
+
+        The sites are walked in blocks of ``_COUNT_BLOCK``.  Within a
+        block each distinct diagonal value gets its row a - t once, and
+        each site costs two NumPy calls, the pivot and its reciprocal.
+        The negative pivots are tallied once per block from the sign bits
+        of the reciprocals: 1/d has the sign of d, also for d = -inf,
+        whose reciprocal is -0.0.  The floats are those of a site-by-site
+        loop, so the counts are too.  A NaN point is refused: its pivots
+        are NaN, which has a sign bit but no sign.
         """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        d = np.empty_like(t_arr)
-        recip = np.zeros_like(t_arr)  # 1/d_0 := 0, so that d_1 = a_1 - t
-        negative = np.empty(t_arr.shape, dtype=bool)
-        count = np.zeros(t_arr.shape, dtype=np.int64)
+        points = t_arr.ravel()
+        if np.isnan(points).any():
+            raise ValueError("Sturm count at a NaN point")
+        block = min(_COUNT_BLOCK, self.n)
+        pool = np.empty((block, points.size))  # rows a - t of this block
+        recips = np.empty((block, points.size))  # 1/d_i of this block
+        d = np.empty_like(points)
+        prev = np.zeros_like(points)  # 1/d_0 := 0, so that d_1 = a_1 - t
+        count = np.zeros(points.shape, dtype=np.int64)
+        subtract, reciprocal = np.subtract, np.reciprocal
+        pool_rows, recip_rows = list(pool), list(recips)
+        # Diagonal value -> its row a - t in the pool.  0.0 and -0.0 share
+        # a row; theirs differ only in the sign of a zero, which reaches a
+        # pivot only as a zero pivot, and that is replaced either way.
+        rows = {}
+        row_of = rows.get
+        diagonal = self.diagonal.tolist()
         with np.errstate(divide="raise"):
-            for a in self.diagonal.tolist():
-                np.subtract(a, t_arr, out=d)
-                d -= recip
-                try:
-                    np.divide(1.0, d, out=recip)
-                except FloatingPointError:  # some pivot is exactly zero
-                    d[d == 0.0] = -1e-300
-                    np.divide(1.0, d, out=recip)
-                np.less(d, 0.0, out=negative)
-                np.add(count, negative, out=count)
+            for start in range(0, len(diagonal), block):
+                sites = diagonal[start:start + block]
+                rows.clear()
+                for a, recip in zip(sites, recip_rows):
+                    a_t = row_of(a)
+                    if a_t is None:
+                        a_t = rows[a] = subtract(a, points, pool_rows[len(rows)])
+                    subtract(a_t, prev, d)
+                    try:
+                        reciprocal(d, recip)
+                    except FloatingPointError:  # some pivot is exactly zero
+                        d[d == 0.0] = -1e-300
+                        reciprocal(d, recip)
+                    prev = recip
+                count += np.signbit(recips[:len(sites)]).sum(axis=0)
         if np.ndim(t) == 0:
             return int(count[0])
-        return count
+        return count.reshape(t_arr.shape)
 
 
 def fibonacci_tridiagonal(lam: float, n: int, omega0: float = 0.0) -> TridiagonalMatrix:
@@ -146,7 +180,10 @@ def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
     pass halves every bracket at its midpoint, until all brackets are at
     most ``tol`` wide.  If 200 passes cannot reach ``tol`` (tolerance below
     the floating floor, or a pathological cluster), the unresolved indices
-    are reported in an EigenvalueSeparationError.
+    are reported in an EigenvalueSeparationError.  A pass that moves no
+    bracket, as once every bracket is one float wide, would repeat itself
+    on every later pass, so the solve stops there and reports the same
+    error as after 200 passes.
 
     The Sturm counts are shared, after Barth, Martin and Wilkinson (1967).
     Indices whose brackets coincide, as many do in the early passes, need
@@ -189,8 +226,11 @@ def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         # eigenvalue k >= mid exactly when at most k eigenvalues lie below
         go_up = counts[bracket, node] <= ks
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
+        new_lo = np.where(go_up, mid, lo)
+        new_hi = np.where(go_up, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break  # a pass that moves no bracket repeats itself for ever
+        lo, hi = new_lo, new_hi
         node = 2 * node + 1 + go_up
         levels_left -= 1
     width = hi - lo

@@ -90,16 +90,29 @@ def plain_bisection_eigenvalues(m, tol: float = 1e-10) -> np.ndarray:
     return np.sort(0.5 * (lo + hi))
 
 
-def plain_count_below(a: np.ndarray, t) -> np.ndarray:
-    """Sturm count of eigenvalues < t for unit off-diagonals, site by site."""
+def plain_count_below(diagonal: np.ndarray, t) -> np.ndarray:
+    """Sturm count of eigenvalues < t for unit off-diagonals, site by site.
+
+    The library's count as it stood before it walked the sites in blocks:
+    one pivot update and one tally of the negative pivots per site.  The
+    blocked count must return the same counts.
+    """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    d = a[0] - t_arr
-    d = np.where(d == 0.0, -1e-300, d)
-    count = (d < 0).astype(np.int64)
-    for i in range(1, a.size):
-        d = (a[i] - t_arr) - 1.0 / d
-        d = np.where(d == 0.0, -1e-300, d)
-        count += d < 0
+    d = np.empty_like(t_arr)
+    recip = np.zeros_like(t_arr)  # 1/d_0 := 0, so that d_1 = a_1 - t
+    negative = np.empty(t_arr.shape, dtype=bool)
+    count = np.zeros(t_arr.shape, dtype=np.int64)
+    with np.errstate(divide="raise"):
+        for a in diagonal.tolist():
+            np.subtract(a, t_arr, out=d)
+            d -= recip
+            try:
+                np.divide(1.0, d, out=recip)
+            except FloatingPointError:  # some pivot is exactly zero
+                d[d == 0.0] = -1e-300
+                np.divide(1.0, d, out=recip)
+            np.less(d, 0.0, out=negative)
+            np.add(count, negative, out=count)
     return count
 
 

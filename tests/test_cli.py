@@ -3,6 +3,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -484,3 +487,13 @@ def test_shared_widest_band_refused_by_name(argv, levels, width, capsys):
     assert (f"fibspec: invalid arguments: cover levels {levels[0]} and "
             f"{levels[1]} at lambda={lam} share their widest band "
             f"(width {width})") in captured.err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["spectrum", "--lambda", "5", "--k", "2"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "fibspec", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    code, out = run(argv, capsys)
+    assert (proc.returncode, proc.stdout) == (code, out)

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import oracles
 from fibspec import (ALPHA, FibonacciPotential, TridiagonalMatrix,
                      eigenvalues, fibonacci_tridiagonal)
+from fibspec import hamiltonian
 from fibspec.errors import EigenvalueSeparationError
 
 from oracles import (plain_bisection_eigenvalues, plain_count_below,
@@ -145,3 +148,113 @@ def test_eigenvalues_count_at_most_half_the_plain_points(monkeypatch):
     assert np.array_equal(eigenvalues(m), want)
     assert sum(plain) == len(plain) * m.n
     assert sum(shared) <= 0.5 * sum(plain)
+
+
+def _count_grid(m):
+    """Points around and between the eigenvalues, the signed zeros, the
+    pivot guard's magnitude, and infinities, whose pivots are infinite."""
+    radius = float(np.max(np.abs(m.diagonal))) + 3.0
+    return np.concatenate([np.linspace(-radius, radius, 257),
+                           [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf]])
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 987])
+@pytest.mark.parametrize("lam", [0.0, 2.0, 5.0, 20.0])
+def test_blocked_count_equals_site_by_site_count(lam, n):
+    m = fibonacci_tridiagonal(lam, n)
+    t = _count_grid(m)
+    assert np.array_equal(m.count_below(t), plain_count_below(m.diagonal, t))
+
+
+def test_blocked_count_on_many_valued_diagonal():
+    """Every site has its own value, so no row a - t is shared in a block;
+    0.0 and -0.0 are one key, and their rows may differ only where a
+    zero pivot is replaced either way."""
+    diag = np.random.default_rng(8).uniform(-2, 2, size=100)
+    diag[[3, 40]] = 0.0
+    diag[[4, 41]] = -0.0
+    m = TridiagonalMatrix(diag)
+    t = _count_grid(m)
+    assert np.array_equal(m.count_below(t), plain_count_below(m.diagonal, t))
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+def test_blocked_count_with_zero_pivot_at_block_seam(offset):
+    """a_{j-1} = 1e20 makes 1/d_{j-1} vanish against 2, so a_j = 2 and
+    a_{j+1} = 0.5 give the exact zero pivot d_{j+1} = 0 at t = 0, on the
+    site ``offset`` places from the first site of the second block."""
+    zero_site = hamiltonian._COUNT_BLOCK + offset
+    diag = np.random.default_rng(9).uniform(-1, 1, size=40)
+    diag[zero_site - 2:zero_site + 1] = [1e20, 2.0, 0.5]
+    d = diag[0]
+    for a in diag[1:zero_site + 1]:
+        d = a - 1.0 / d
+    assert d == 0.0
+    m = TridiagonalMatrix(diag)
+    t = np.array([0.0, -0.0, 1e-300, -1e-300, 0.25, -0.5])
+    assert np.array_equal(m.count_below(t), plain_count_below(m.diagonal, t))
+
+
+def test_count_keeps_the_shape_of_t():
+    m = fibonacci_tridiagonal(5.0, 40)
+    assert type(m.count_below(0.5)) is int
+    t = np.linspace(-8, 8, 12).reshape(3, 4)
+    got = m.count_below(t)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got, plain_count_below(m.diagonal, t))
+    assert m.count_below(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("t", [math.nan, -math.nan, [0.5, math.nan]])
+def test_count_refuses_nan(t):
+    with pytest.raises(ValueError):
+        fibonacci_tridiagonal(5.0, 20).count_below(np.asarray(t))
+
+
+def test_count_memory_stays_small():
+    """A 2584-site diagonal with every value distinct, counted at 2584
+    points: the per-block rows a - t stay within a block, far from the
+    53 MB a whole-matrix table of them would take."""
+    m = TridiagonalMatrix(np.linspace(-5, 5, 2584))
+    t = np.linspace(-8, 8, 2584)
+    tracemalloc.start()
+    try:
+        m.count_below(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("lam, n, omega0, tol, sweeps", [
+    (5.0, 2584, 0.0, 1e-18, 42),
+    (5.0, 89, 0.37, 1e-18, 26),
+    (20.0, 987, 0.37, 1e-17, 40),
+    (5.0, 2584, 0.0, 1e-10, 20),
+    (2.0, 987, 0.0, 1e-10, 26),
+])
+def test_eigensolve_sweeps(monkeypatch, lam, n, omega0, tol, sweeps):
+    """A tolerance below the float floor stops at the first pass that moves
+    no bracket, not at pass 200 (182, 95 and 176 sweeps before); a
+    reachable one keeps its sweeps."""
+    count_below = TridiagonalMatrix.count_below
+    made = []
+
+    def counting(self, t):
+        made.append(t)
+        return count_below(self, t)
+
+    monkeypatch.setattr(TridiagonalMatrix, "count_below", counting)
+    with contextlib.suppress(EigenvalueSeparationError):
+        eigenvalues(fibonacci_tridiagonal(lam, n, omega0), tol)
+    assert len(made) == sweeps
+
+
+def test_stalled_separation_failure_matches_plain_bisection():
+    m = fibonacci_tridiagonal(20.0, 987, 0.37)
+    with pytest.raises(EigenvalueSeparationError) as got:
+        eigenvalues(m, 1e-17)
+    with pytest.raises(EigenvalueSeparationError) as want:
+        plain_bisection_eigenvalues(m, 1e-17)
+    assert got.value.indices == want.value.indices
+    assert got.value.width == want.value.width
