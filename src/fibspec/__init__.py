@@ -9,9 +9,8 @@ from .dimension import (DimensionEstimate, box_count, box_dim_regression,
 from .errors import BandIsolationError, EigenvalueSeparationError, SizeCapError
 from .hamiltonian import (ALPHA, FibonacciPotential, TridiagonalMatrix,
                           eigenvalues, fibonacci_tridiagonal)
-from .ifs import (LinearIFS, ResonanceVerdict, attractor_cover, binary_halves,
-                  log_ratio_resonance, middle_thirds, quarter_corners,
-                  similarity_dim)
+from .ifs import (LinearIFS, ResonanceVerdict, attractor_cover,
+                  log_ratio_resonance, similarity_dim)
 from .intervals import IntervalSet
 from .periodic import (PeriodicPointInfo, g_p, g_q, jacobian, log_ratio,
                        minimal_period, multiplier_p_closed,
@@ -19,12 +18,10 @@ from .periodic import (PeriodicPointInfo, g_p, g_q, jacobian, log_ratio,
                        point_p, point_q, restricted_jacobian,
                        restricted_multiplier, scan_exceptional, tangent_frame)
 from .spectrum import (SpectrumCover, band_hierarchy, fibonacci_number,
-                       sigma_bands, spectrum_cover)
+                       spectrum_cover)
 from .sumset import (TheoremReport, check_theorem_rect, cover_ladder,
                      ladder_dimension, minkowski_sum)
-from .tracemap import (Point3, apply_map, apply_map_batch, apply_map_inverse,
-                       apply_map_inverse_batch, invariant, invariant_batch,
-                       invariant_gradient, spectral_line)
+from .tracemap import Point3, apply_map, invariant, invariant_gradient
 
 __version__ = "0.1.0"
 
@@ -44,12 +41,8 @@ __all__ = [
     "TheoremReport",
     "TridiagonalMatrix",
     "apply_map",
-    "apply_map_batch",
-    "apply_map_inverse",
-    "apply_map_inverse_batch",
     "attractor_cover",
     "band_hierarchy",
-    "binary_halves",
     "box_count",
     "box_dim_regression",
     "check_theorem_rect",
@@ -60,13 +53,11 @@ __all__ = [
     "g_p",
     "g_q",
     "invariant",
-    "invariant_batch",
     "invariant_gradient",
     "jacobian",
     "ladder_dimension",
     "log_ratio",
     "log_ratio_resonance",
-    "middle_thirds",
     "minimal_period",
     "minkowski_sum",
     "moran_dim",
@@ -76,14 +67,11 @@ __all__ = [
     "orbit_info_q",
     "point_p",
     "point_q",
-    "quarter_corners",
     "restricted_jacobian",
     "restricted_multiplier",
     "scan_exceptional",
-    "sigma_bands",
     "similarity_dim",
     "solve_partition_exponent",
-    "spectral_line",
     "spectrum_cover",
     "tangent_frame",
 ]

@@ -318,25 +318,8 @@ def _sweep_worker(task):
     return result, caveats
 
 
-def _resolve_jobs(flag: int | None) -> int:
-    if flag is not None:
-        if flag < 1:
-            raise ValueError("--jobs must be >= 1")
-        return flag
-    env = os.environ.get("FIBSPEC_JOBS")
-    if env:
-        try:
-            v = int(env)
-        except ValueError:
-            raise ValueError(f"FIBSPEC_JOBS must be an integer, got {env!r}")
-        if v < 1:
-            raise ValueError("FIBSPEC_JOBS must be >= 1")
-        return v
-    return 1
-
-
 def _sweep_payload(swept_command: str, start: float, stop: float, count: int,
-                   jobs: int | None, **passed):
+                   jobs: int, **passed):
     """Runs the swept command at each grid value of its swept flag.  A
     flag it passes through takes the value given to sweep, or else that
     command's own default; every other flag takes its default, and giving
@@ -367,9 +350,11 @@ def _sweep_payload(swept_command: str, start: float, stop: float, count: int,
         values = [float(v) for v in np.linspace(start, stop, count)]
     swept = next(f for f in command.flags if f.name == spec.flag)
     tasks = [(swept_command, {**kwargs, swept.dest: v}) for v in values]
+    if jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     # A process pool forks all its workers at once, so never ask for
     # more than there are grid points or CPUs.
-    workers = min(_resolve_jobs(jobs), len(values), os.cpu_count() or 1)
+    workers = min(jobs, len(values), os.cpu_count() or 1)
     if workers == 1:
         outputs = [_sweep_worker(t) for t in tasks]
     else:
@@ -519,9 +504,9 @@ _COMMANDS["sweep"] = _Command(
      _Flag("--start", type=float, required=True),
      _Flag("--stop", type=float, required=True),
      _Flag("--count", type=int, required=True),
-     _Flag("--jobs", type=int, default=None,
-           help="worker processes (default: FIBSPEC_JOBS or 1), capped at "
-                "the number of grid points and of CPUs"),
+     _Flag("--jobs", type=int, default=1,
+           help="worker processes (default: 1), capped at the number of "
+                "grid points and of CPUs"),
      *{f.name: _Flag(f.name, type=f.options["type"])
        for c in _COMMANDS.values() if c.sweep
        for f in c.flags if f.name in c.sweep.passes}.values()),

@@ -52,18 +52,6 @@ class LinearIFS:
         return len(self.ratios)
 
 
-def middle_thirds() -> LinearIFS:
-    return LinearIFS((1 / 3, 1 / 3), (0.0, 2 / 3))
-
-
-def quarter_corners() -> LinearIFS:
-    return LinearIFS((0.25, 0.25), (0.0, 0.75))
-
-
-def binary_halves() -> LinearIFS:
-    return LinearIFS((0.5, 0.5), (0.0, 0.5))
-
-
 def attractor_cover(ifs: LinearIFS, depth: int) -> IntervalSet:
     """Union of hull images under all depth-fold map compositions.
 

@@ -122,9 +122,6 @@ class IntervalSet:
         hi = np.concatenate([self.hi, other.hi])
         return IntervalSet.from_arrays(lo, hi)
 
-    def translate(self, t: float) -> "IntervalSet":
-        return IntervalSet._from_normalized(self.lo + t, self.hi + t)
-
     def dilate(self, eps: float) -> "IntervalSet":
         """Closed eps-neighborhood (components may merge)."""
         if eps < 0:
@@ -132,18 +129,6 @@ class IntervalSet:
         if not self:
             return self
         return IntervalSet.from_arrays(self.lo - eps, self.hi + eps)
-
-    def covers(self, other: "IntervalSet", slack: float = 0.0) -> bool:
-        """True if every component of ``other`` fits inside one component
-        of self dilated by ``slack``."""
-        if not other:
-            return True
-        if not self:
-            return False
-        idx = np.searchsorted(self.lo - slack, other.lo, side="right") - 1
-        if np.any(idx < 0):
-            return False
-        return bool(np.all(other.hi <= self.hi[idx] + slack))
 
 
 def _normalize(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -54,16 +54,18 @@ def point_q(a: float) -> Point3:
     return Point3(0.0, g, 0.0)
 
 
-def minimal_period(p: Point3, n_max: int = PERIOD_MAX, tol: float = PERIOD_TOL) -> int:
-    """Smallest n <= n_max with max|f^n(p) - p| < tol."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+def minimal_period(p: Point3) -> int:
+    """Smallest n <= PERIOD_MAX with max|f^n(p) - p| < PERIOD_TOL."""
     q = p
-    for n in range(1, n_max + 1):
-        q = apply_map(q)
-        if max(abs(q.x - p.x), abs(q.y - p.y), abs(q.z - p.z)) < tol:
+    for n in range(1, PERIOD_MAX + 1):
+        try:
+            q = apply_map(q)
+        except ValueError:  # the orbit overflowed: it escapes to infinity
+            break
+        if max(abs(q.x - p.x), abs(q.y - p.y), abs(q.z - p.z)) < PERIOD_TOL:
             return n
-    raise ValueError(f"point {tuple(p)} is not periodic within {n_max} steps at tol {tol}")
+    raise ValueError(f"point {tuple(p)} is not periodic within {PERIOD_MAX} "
+                     f"steps at tol {PERIOD_TOL}")
 
 
 def jacobian(p: Point3) -> np.ndarray:
@@ -99,9 +101,9 @@ def tangent_frame(p: Point3) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
-def restricted_jacobian(p: Point3, n: int, tol: float = PERIOD_TOL) -> np.ndarray:
+def restricted_jacobian(p: Point3, n: int) -> np.ndarray:
     """2x2 matrix of the n-step differential along the orbit of p,
-    expressed in the tangent frame at p.  Requires f^n(p) = p to tol;
+    expressed in the tangent frame at p.  Requires f^n(p) = p to PERIOD_TOL;
     the map preserves both the invariant and area, so the result has
     determinant of magnitude 1 up to roundoff."""
     if n < 1:
@@ -113,15 +115,15 @@ def restricted_jacobian(p: Point3, n: int, tol: float = PERIOD_TOL) -> np.ndarra
         m = jacobian(q) @ m
         q = apply_map(q)
     drift = max(abs(q.x - p.x), abs(q.y - p.y), abs(q.z - p.z))
-    if drift > tol:
+    if drift > PERIOD_TOL:
         raise ValueError(f"point is not n={n} periodic: returns with error {drift:.3e}")
     frame = np.column_stack([u1, u2])
     return frame.T @ m @ frame
 
 
-def restricted_multiplier(p: Point3, n: int, tol: float = PERIOD_TOL) -> float:
+def restricted_multiplier(p: Point3, n: int) -> float:
     """Largest eigenvalue magnitude of the restricted n-step differential."""
-    eigs = np.linalg.eigvals(restricted_jacobian(p, n, tol))
+    eigs = np.linalg.eigvals(restricted_jacobian(p, n))
     return float(np.max(np.abs(eigs)))
 
 

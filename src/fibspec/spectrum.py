@@ -292,16 +292,6 @@ def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[IntervalS
     return levels
 
 
-def sigma_bands(lam: float, k: int, tol: float = 1e-12) -> IntervalSet:
-    """Band decomposition of the k-th spectrum approximant sigma_k.
-
-    Every endpoint is a bisection-certified root of x_k(E) = +-1 located
-    to within ``tol``, and the band count is certified to equal the
-    Fibonacci degree F_k.
-    """
-    return band_hierarchy(lam, k, tol)[k]
-
-
 def spectrum_cover(lam: float, k: int, tol: float = 1e-12) -> SpectrumCover:
     """The two-level cover sigma_k | sigma_{k+1} of the spectrum.
 

@@ -6,9 +6,28 @@ recursions, no reuse of the library's band-finding or word logic.
 
 import numpy as np
 
-from fibspec import (IntervalSet, fibonacci_number, multiplier_p_closed,
-                     multiplier_q_closed)
+from fibspec import (IntervalSet, LinearIFS, fibonacci_number,
+                     multiplier_p_closed, multiplier_q_closed)
 from fibspec.errors import BandIsolationError, EigenvalueSeparationError
+
+# Self-similar sets of known dimension for the IFS sandbox: log 2 / log 3,
+# 1/2 and 1.
+MIDDLE_THIRDS = LinearIFS((1 / 3, 1 / 3), (0.0, 2 / 3))
+QUARTER_CORNERS = LinearIFS((0.25, 0.25), (0.0, 0.75))
+BINARY_HALVES = LinearIFS((0.5, 0.5), (0.0, 0.5))
+
+
+def covers(outer: IntervalSet, inner: IntervalSet, slack: float = 0.0) -> bool:
+    """True if every component of ``inner`` fits inside one component of
+    ``outer`` dilated by ``slack``."""
+    if not inner:
+        return True
+    if not outer:
+        return False
+    idx = np.searchsorted(outer.lo - slack, inner.lo, side="right") - 1
+    if np.any(idx < 0):
+        return False
+    return bool(np.all(inner.hi <= outer.hi[idx] + slack))
 
 
 def dense_band_count(lam: float, k: int, refine: int = 64,

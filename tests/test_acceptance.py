@@ -13,48 +13,60 @@ import time
 import numpy as np
 import pytest
 
-from fibspec import (apply_map_batch, apply_map_inverse_batch, attractor_cover,
-                     band_hierarchy, box_dim_regression, check_theorem_rect,
-                     eigenvalues, fibonacci_number,
-                     fibonacci_tridiagonal, invariant, invariant_batch,
-                     log_ratio, middle_thirds, minimal_period, minkowski_sum,
-                     moran_dim, orbit_info_p, orbit_info_q, point_p, point_q,
-                     quarter_corners, restricted_jacobian, sigma_bands,
-                     spectral_line, spectrum_cover)
+from fibspec import (Point3, attractor_cover, band_hierarchy,
+                     box_dim_regression, check_theorem_rect, eigenvalues,
+                     fibonacci_number, fibonacci_tridiagonal, invariant,
+                     log_ratio, minimal_period, minkowski_sum, moran_dim,
+                     orbit_info_p, orbit_info_q, point_p, point_q,
+                     restricted_jacobian, spectrum_cover)
 from fibspec import cli
+from fibspec.spectrum import _half_trace
 
-from oracles import dense_band_count
+from oracles import MIDDLE_THIRDS, QUARTER_CORNERS, covers, dense_band_count
 
 
 def _passed(tag: str, detail: str):
     print(f"[{tag} PASS] {detail}")
 
 
-def test_01_invariant_conserved_and_map_invertible_in_bulk():
-    rng = np.random.default_rng(20260817)
-    pts = rng.uniform(-5.0, 5.0, size=(100_000, 3))
+def test_01_band_endpoint_triples_stay_on_the_invariant_surface():
+    """(x_k, x_{k-1}, x_{k-2}) from the band finder's half-trace kernel, at
+    every band endpoint of sigma_k, lies on the surface {I = lam^2/4}."""
     t0 = time.perf_counter()
-    fwd = apply_map_batch(pts)
-    i_before = invariant_batch(pts)
-    i_after = invariant_batch(fwd)
-    drift = np.abs(i_after - i_before) / np.maximum(1.0, np.abs(i_before))
-    assert np.max(drift) <= 1e-10
-    back = apply_map_inverse_batch(fwd)
-    roundtrip = np.max(np.abs(back - pts))
-    assert roundtrip <= 1e-12
+    worst = 0.0
+    endpoints = 0
+    for lam in (0.1, 0.5, 2.0, 5.0, 20.0):
+        surface = lam * lam / 4.0
+        k_max = 14 if lam == 20.0 else 15
+        hier = band_hierarchy(lam, k_max)
+        for k in range(2, k_max + 1):
+            ends = np.concatenate([hier[k].lo, hier[k].hi])
+            triples = zip(*(_half_trace(lam, ends, j).tolist()
+                            for j in (k, k - 1, k - 2)))
+            for x, y, z in triples:
+                err = abs(invariant(Point3(x, y, z)) - surface)
+                worst = max(worst, err / max(1.0, surface))
+            endpoints += ends.size
+    assert worst <= 1e-13
     elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0
-    _passed("01", f"1e5 points: invariant drift {np.max(drift):.2e}, "
-                  f"roundtrip {roundtrip:.2e}, {elapsed:.2f} s")
+    assert elapsed < 5.0
+    _passed("01", f"{endpoints} band endpoints, lam in {{0.1 .. 20}}, "
+                  f"k <= 15: max |I - lambda^2/4| / max(1, lambda^2/4) = "
+                  f"{worst:.2e}, {elapsed:.2f} s")
 
 
 def test_02_spectral_line_lands_on_quarter_lambda_squared_surface():
+    """(x_1, x_0, 1) from the half-trace kernel, the spectral line's point
+    at E, lies on the surface {I = lam^2/4}."""
     rng = np.random.default_rng(7)
     lams = 10.0 - rng.uniform(0.0, 10.0, size=1000)  # in (0, 10]
     energies = rng.uniform(-20.0, 20.0, size=1000)
     worst = 0.0
     for lam, energy in zip(lams, energies):
-        err = abs(invariant(spectral_line(lam, energy)) - lam * lam / 4.0)
+        E = np.array([energy])
+        p = Point3(float(_half_trace(lam, E, 1)[0]),
+                   float(_half_trace(lam, E, 0)[0]), 1.0)
+        err = abs(invariant(p) - lam * lam / 4.0)
         worst = max(worst, err)
     assert worst <= 1e-12
     _passed("02", f"1e3 couplings: max |I - lambda^2/4| = {worst:.2e}")
@@ -62,8 +74,7 @@ def test_02_spectral_line_lands_on_quarter_lambda_squared_surface():
 
 def test_03_first_two_band_sets_match_closed_forms():
     for lam in (0.5, 3.0, 20.0):
-        s0 = sigma_bands(lam, 0)
-        s1 = sigma_bands(lam, 1)
+        s0, s1 = band_hierarchy(lam, 1)
         assert len(s0) == 1 and len(s1) == 1
         assert np.allclose(s0.pairs(), [[-2.0, 2.0]], atol=1e-10)
         assert np.allclose(s1.pairs(), [[lam - 2.0, lam + 2.0]], atol=1e-10)
@@ -89,7 +100,7 @@ def test_05_covers_nest_as_depth_grows():
     for k in range(11):
         outer = hier[k].union(hier[k + 1]).dilate(1e-9)
         inner = hier[k + 1].union(hier[k + 2])
-        assert outer.covers(inner)
+        assert covers(outer, inner)
     _passed("05", "lam=2 cover(k+1) within cover(k) + 1e-9 for k <= 10")
 
 
@@ -109,7 +120,7 @@ def test_06_finite_box_eigenvalues_land_in_the_cover():
 
 
 def test_07_dimension_estimators_agree_on_middle_thirds():
-    thirds = middle_thirds()
+    thirds = MIDDLE_THIRDS
     first_level = attractor_cover(thirds, 1)
     moran = moran_dim(first_level)
     target = math.log(2) / math.log(3)
@@ -149,7 +160,7 @@ def test_09_log_multiplier_ratio_rational_only_at_zero():
 
 def test_10_equal_ratio_sum_loses_dimension_mixed_ratio_does_not():
     t0 = time.perf_counter()
-    thirds, quarters = middle_thirds(), quarter_corners()
+    thirds, quarters = MIDDLE_THIRDS, QUARTER_CORNERS
     depths = range(4, 10)
     eps = [0.25 ** d for d in depths]
     self_sum = [minkowski_sum(attractor_cover(quarters, d),

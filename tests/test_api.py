@@ -1,0 +1,53 @@
+"""The public API is what the package itself runs: every name exported in
+``fibspec.__all__``, and every public method of an exported class, is used
+by some module of ``src/fibspec`` besides ``__init__.py``, so no public
+name exists only for the tests."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import fibspec
+
+SRC = Path(fibspec.__file__).resolve().parent
+
+
+def _uses_in_src() -> tuple[set[str], set[str]]:
+    """Names loaded, and attribute names, over the package's modules."""
+    names, attributes = set(), set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_export_is_used_by_the_package():
+    names, attributes = _uses_in_src()
+    unused = sorted(set(fibspec.__all__) - names - attributes)
+    assert unused == []
+
+
+def _public_methods():
+    """(class name, method name) of every exported class's own public
+    methods, properties and class or static methods."""
+    for name in fibspec.__all__:
+        cls = getattr(fibspec, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, value in vars(cls).items():
+            if not attr.startswith("_") and (
+                    inspect.isfunction(value)
+                    or isinstance(value, (property, classmethod, staticmethod))):
+                yield name, attr
+
+
+def test_every_public_method_is_used_by_the_package():
+    _, attributes = _uses_in_src()
+    unused = [f"{cls}.{attr}" for cls, attr in _public_methods()
+              if attr not in attributes]
+    assert unused == []

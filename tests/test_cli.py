@@ -281,16 +281,6 @@ def test_sweep_parallel_equals_serial(capsys):
     assert json.loads(serial)["result"] == json.loads(parallel)["result"]
 
 
-def test_jobs_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("FIBSPEC_JOBS", "2")
-    base = ["sweep", "--command", "periodic", "--start", "0.1", "--stop",
-            "0.5", "--count", "3"]
-    _, with_env = run(base, capsys)
-    monkeypatch.delenv("FIBSPEC_JOBS")
-    _, without = run(base, capsys)
-    assert json.loads(with_env)["result"] == json.loads(without)["result"]
-
-
 def test_float_formatting_is_shortest_exact():
     s = cli.to_json({"x": 0.1, "y": 1 / 3, "z": 1e300})
     parsed = json.loads(s)
@@ -344,23 +334,27 @@ class _SerialPool:
     ("3", 6, 4, 3),
     ("100000", 6, None, None),
     ("100000", 1, 8, None),
+    (None, 6, 4, None),  # no --jobs: serial
 ])
-@pytest.mark.parametrize("via_env", [False, True])
-def test_sweep_workers_capped(jobs, count, cpus, workers, via_env,
-                              monkeypatch, capsys):
+def test_sweep_workers_capped(jobs, count, cpus, workers, monkeypatch, capsys):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "requested", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     base = ["sweep", "--command", "periodic", "--start", "0.1", "--stop",
             "1.1", "--count", str(count)]
     _, serial = run(base + ["--jobs", "1"], capsys)
-    if via_env:
-        monkeypatch.setenv("FIBSPEC_JOBS", jobs)
-        _, out = run(base, capsys)
-    else:
-        _, out = run(base + ["--jobs", jobs], capsys)
+    _, out = run(base + ([] if jobs is None else ["--jobs", jobs]), capsys)
     assert _SerialPool.requested == ([] if workers is None else [workers])
     assert out == serial
+
+
+def test_sweep_refuses_jobs_below_one(capsys):
+    argv = ["sweep", "--command", "periodic", "--start", "0.1", "--stop",
+            "1.1", "--count", "2", "--jobs", "0"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fibspec: invalid arguments: --jobs must be >= 1" in captured.err
 
 
 _LABELS = {"periodic": "a"}

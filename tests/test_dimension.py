@@ -5,8 +5,7 @@ import pytest
 
 import oracles
 from fibspec import (DimensionEstimate, attractor_cover, box_count,
-                     box_dim_regression, middle_thirds, moran_dim,
-                     quarter_corners, solve_partition_exponent)
+                     box_dim_regression, moran_dim, solve_partition_exponent)
 from fibspec import dimension
 from fibspec.intervals import IntervalSet
 from fibspec.sumset import cover_ladder, minkowski_sum
@@ -15,7 +14,7 @@ LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 
 
 def thirds_cover(depth):
-    return attractor_cover(middle_thirds(), depth)
+    return attractor_cover(oracles.MIDDLE_THIRDS, depth)
 
 
 def test_box_count_basic():
@@ -165,8 +164,8 @@ def test_partition_exponent_no_root_rejected():
 
 def test_estimators_agree_on_self_similar_sets():
     for ifs, bands in (
-        (middle_thirds(), IntervalSet.from_arrays([0.0, 2 / 3], [1 / 3, 1.0])),
-        (quarter_corners(), IntervalSet.from_arrays([0.0, 0.75], [0.25, 1.0])),
+        (oracles.MIDDLE_THIRDS, IntervalSet.from_arrays([0.0, 2 / 3], [1 / 3, 1.0])),
+        (oracles.QUARTER_CORNERS, IntervalSet.from_arrays([0.0, 0.75], [0.25, 1.0])),
     ):
         depths = range(4, 11)
         covers = [attractor_cover(ifs, d) for d in depths]

@@ -3,40 +3,42 @@ import math
 import numpy as np
 import pytest
 
-from fibspec import (LinearIFS, attractor_cover, binary_halves,
-                     box_dim_regression, log_ratio_resonance, middle_thirds,
-                     minkowski_sum, quarter_corners, similarity_dim)
+from fibspec import (LinearIFS, attractor_cover, box_dim_regression,
+                     log_ratio_resonance, minkowski_sum, similarity_dim)
 from fibspec.errors import SizeCapError
+
+import oracles
+from oracles import BINARY_HALVES, MIDDLE_THIRDS, QUARTER_CORNERS
 
 
 def test_middle_thirds_first_level():
-    c = attractor_cover(middle_thirds(), 1)
+    c = attractor_cover(MIDDLE_THIRDS, 1)
     assert np.allclose(c.pairs(), [[0, 1 / 3], [2 / 3, 1]])
 
 
 def test_depth_zero_is_hull():
-    for ifs in (middle_thirds(), quarter_corners(), binary_halves()):
+    for ifs in (MIDDLE_THIRDS, QUARTER_CORNERS, BINARY_HALVES):
         assert attractor_cover(ifs, 0).pairs() == [[0.0, 1.0]]
 
 
 def test_quarter_corners_depth_two():
-    c = attractor_cover(quarter_corners(), 2)
+    c = attractor_cover(QUARTER_CORNERS, 2)
     assert len(c) == 4
     assert np.allclose(c.lengths, 1 / 16)
 
 
 def test_cover_nesting_is_exact():
-    for ifs in (middle_thirds(), quarter_corners()):
+    for ifs in (MIDDLE_THIRDS, QUARTER_CORNERS):
         prev = attractor_cover(ifs, 0)
         for depth in range(1, 8):
             cur = attractor_cover(ifs, depth)
-            assert prev.covers(cur, slack=0.0)
+            assert oracles.covers(prev, cur, slack=0.0)
             prev = cur
 
 
 def test_depth_cap():
     with pytest.raises(SizeCapError):
-        attractor_cover(middle_thirds(), 21)  # 2^21 > 10^6 leaves
+        attractor_cover(MIDDLE_THIRDS, 21)  # 2^21 > 10^6 leaves
 
 
 def test_ifs_validation():
@@ -47,10 +49,10 @@ def test_ifs_validation():
 
 
 def test_similarity_dims():
-    assert similarity_dim(middle_thirds()) == pytest.approx(
+    assert similarity_dim(MIDDLE_THIRDS) == pytest.approx(
         math.log(2) / math.log(3), abs=1e-9)
-    assert similarity_dim(quarter_corners()) == pytest.approx(0.5, abs=1e-9)
-    assert similarity_dim(binary_halves()) == pytest.approx(1.0, abs=1e-9)
+    assert similarity_dim(QUARTER_CORNERS) == pytest.approx(0.5, abs=1e-9)
+    assert similarity_dim(BINARY_HALVES) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_similarity_dim_rejects_overlap():
@@ -60,7 +62,7 @@ def test_similarity_dim_rejects_overlap():
 
 
 def test_box_regression_tracks_similarity_dim():
-    for ifs in (middle_thirds(), quarter_corners(), binary_halves()):
+    for ifs in (MIDDLE_THIRDS, QUARTER_CORNERS, BINARY_HALVES):
         depths = range(4, 11)
         covers = [attractor_cover(ifs, d) for d in depths]
         eps = [ifs.ratios[0] ** d for d in depths]
@@ -101,7 +103,7 @@ def test_resonance_flag_monotone_in_qmax():
 def test_resonant_sum_dimension_deficit():
     """Equal contraction ratios cap the sum's dimension at log3/log4,
     strictly below the naive d1 + d2 = 1."""
-    q = quarter_corners()
+    q = QUARTER_CORNERS
     depths = range(4, 10)
     covers = [minkowski_sum(attractor_cover(q, d), attractor_cover(q, d))
               for d in depths]
@@ -112,7 +114,7 @@ def test_resonant_sum_dimension_deficit():
 
 
 def test_non_resonant_sum_reaches_full_dimension():
-    t, q = middle_thirds(), quarter_corners()
+    t, q = MIDDLE_THIRDS, QUARTER_CORNERS
     depths = range(4, 10)
     covers = [minkowski_sum(attractor_cover(t, d), attractor_cover(q, d))
               for d in depths]

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fibspec import (IntervalSet, apply_map, fibonacci_number,
-                     sigma_bands, spectral_line, spectrum_cover)
+from fibspec import (IntervalSet, Point3, apply_map, fibonacci_number,
+                     spectrum_cover)
 from fibspec import spectrum
 from fibspec.errors import BandIsolationError
 from fibspec.spectrum import band_hierarchy
@@ -78,7 +78,7 @@ def test_recursion_is_the_map_on_the_line():
         lam = rng.uniform(0.2, 6.0)
         E = rng.uniform(-2 - lam, 2 + lam)
         xs = {-1: 1.0, **{j: half_trace(lam, E, j)[0] for j in range(10)}}
-        p = spectral_line(lam, E)
+        p = Point3((E - lam) / 2, E / 2, 1.0)
         for k in range(0, 9):
             triple = (xs[k + 1], xs[k], xs[k - 1])
             if max(abs(t) for t in triple) > 1e10:
@@ -88,13 +88,15 @@ def test_recursion_is_the_map_on_the_line():
 
 
 def test_sigma_band_examples():
-    assert np.allclose(sigma_bands(7.3, 0).pairs(), [[-2.0, 2.0]], atol=1e-10)
-    assert np.allclose(sigma_bands(3.0, 1).pairs(), [[1.0, 5.0]], atol=1e-10)
-    assert len(sigma_bands(5.0, 6)) == 13
+    assert np.allclose(band_hierarchy(7.3, 0)[0].pairs(), [[-2.0, 2.0]],
+                       atol=1e-10)
+    assert np.allclose(band_hierarchy(3.0, 1)[1].pairs(), [[1.0, 5.0]],
+                       atol=1e-10)
+    assert len(band_hierarchy(5.0, 6)[6]) == 13
 
 
 def test_band_endpoints_solve_unit_half_trace():
-    ends = np.ravel(sigma_bands(5.0, 5).pairs())
+    ends = np.ravel(band_hierarchy(5.0, 5)[5].pairs())
     assert np.all(np.abs(np.abs(half_trace(5.0, ends, 5)) - 1.0) < 1e-9)
 
 
@@ -122,7 +124,7 @@ def test_band_counts_match_dense_oracle():
     # at weak coupling the oracle's grid must resolve the narrow gaps
     for lam, k, refine in ((5.0, 8, 64), (6.0, 7, 64), (0.05, 10, 1024),
                            (0.1, 12, 1024), (0.2, 12, 1024), (0.3, 8, 1024)):
-        assert (len(sigma_bands(lam, k)) == fibonacci_number(k)
+        assert (len(band_hierarchy(lam, k)[k]) == fibonacci_number(k)
                 == dense_band_count(lam, k, refine=refine))
 
 
@@ -151,7 +153,7 @@ def test_weak_coupling_refused_when_gaps_outrun_the_grid():
 def test_bands_inside_operator_norm_interval():
     for lam in (0.5, 2.0, 8.0):
         for k in (3, 6):
-            lo, hi = sigma_bands(lam, k).hull
+            lo, hi = band_hierarchy(lam, k)[k].hull
             assert lo >= -2 - lam - 1e-9
             assert hi <= 2 + lam + 1e-9
 
@@ -162,13 +164,13 @@ def test_cover_nesting():
         for k in range(8):
             outer = hier[k].union(hier[k + 1]).dilate(1e-9)
             inner = hier[k + 1].union(hier[k + 2])
-            assert outer.covers(inner)
+            assert oracles.covers(outer, inner)
 
 
 def test_hierarchy_consistent_with_direct_bands():
     hier = band_hierarchy(5.0, 7)
     for k in range(8):
-        direct = sigma_bands(5.0, k)
+        direct = band_hierarchy(5.0, k)[k]
         assert len(direct) == len(hier[k])
         assert np.allclose(direct.lo, hier[k].lo, atol=1e-9)
         assert np.allclose(direct.hi, hier[k].hi, atol=1e-9)
