@@ -6,6 +6,11 @@ identical configurations produce byte-identical output.  Wall time is
 reported on stderr only — embedding it in the document would break that
 guarantee, so the "runtime_ms" slot is always null.
 
+Floats are written as format(x, ".17g").  Arrays of them (interval
+listings, eigenvalues, CSV columns) are written in bulk: one %-format of
+a template that repeats "%.17g", which gives the same string for every
+double, after one vectorized check that every value is finite.
+
 Exit codes: 0 success, 1 invalid arguments or values, 2 numeric failure
 (band isolation, eigenvalue separation), 3 size cap exceeded.
 """
@@ -13,6 +18,7 @@ Exit codes: 0 success, 1 invalid arguments or values, 2 numeric failure
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -55,11 +61,22 @@ class _Parser(argparse.ArgumentParser):
 # Deterministic serialization
 # ----------------------------------------------------------------------
 
+_NON_FINITE = "non-finite value in output document"
+
+
 def _format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError("non-finite value in output document")
+        raise ValueError(_NON_FINITE)
     return format(x, ".17g")
+
+
+def _float_values(a: np.ndarray) -> list[float]:
+    """The elements of a float array in C order, refused if any is not
+    finite."""
+    if not np.isfinite(a).all():
+        raise ValueError(_NON_FINITE)
+    return a.ravel().tolist()
 
 
 def to_json(obj) -> str:
@@ -83,7 +100,12 @@ def to_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        return to_json(obj.tolist())
+        if obj.dtype.kind != "f":
+            return to_json(obj.tolist())
+        template = "%.17g"
+        for n in reversed(obj.shape):
+            template = "[" + ",".join([template] * n) + "]"
+        return template % tuple(_float_values(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -93,7 +115,7 @@ def _interval_dict(s: IntervalSet, caveats: list[str], label: str) -> dict:
     d = {"count": len(s), "hull": [s.hull[0], s.hull[1]],
          "total_length": s.total_length}
     if len(s) <= INTERVAL_EMBED_CAP:
-        d["intervals"] = s.pairs()
+        d["intervals"] = np.column_stack([s.lo, s.hi])
     else:
         d["intervals"] = None
         caveats.append(f"{label}: {len(s)} intervals exceed the embed limit "
@@ -102,26 +124,41 @@ def _interval_dict(s: IntervalSet, caveats: list[str], label: str) -> dict:
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
-    def cell(v) -> str:
-        if isinstance(v, str):
-            return v
-        if v is None:
-            return ""
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return _format_float(v)
+    """CSV text: the header line, then one line per row.
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    A cell is a string, None (an empty cell), an int, a float or a 1-d
+    array.  A row with array cells stands for one line per element of its
+    arrays, which share one length; its other cells repeat on each line.
+    Every row is rendered by one %-format of a template for its lines.
+    """
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        fields, columns, n = [], [], 1
+        for v in row:
+            if isinstance(v, np.ndarray):
+                if v.dtype.kind == "f":
+                    fields.append("%.17g")
+                    columns.append(_float_values(v))
+                else:
+                    fields.append("%d")
+                    columns.append(v.tolist())
+                n = v.size
+            elif isinstance(v, str):
+                fields.append(v.replace("%", "%%"))
+            elif v is None:
+                fields.append("")
+            elif isinstance(v, (int, np.integer)):
+                fields.append(str(int(v)))
+            else:
+                fields.append(_format_float(v))
+        template = (",".join(fields) + "\n") * n
+        lines.append(template % tuple(itertools.chain.from_iterable(zip(*columns))))
+    return "".join(lines)
 
 
 def _intervals_csv(named: list[tuple[str, IntervalSet]]) -> str:
-    rows = []
-    for name, s in named:
-        for i, (lo, hi) in enumerate(s):
-            rows.append([name, i, lo, hi])
-    return _csv_table(["set", "index", "lo", "hi"], rows)
+    return _csv_table(["set", "index", "lo", "hi"],
+                      [[name, np.arange(len(s)), s.lo, s.hi] for name, s in named])
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +197,7 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
         "eigenvalue_count": int(evs.size),
         "min_eigenvalue": float(evs[0]),
         "max_eigenvalue": float(evs[-1]),
-        "eigenvalues": [float(v) for v in evs],
+        "eigenvalues": evs,
     }
     caveats: list[str] = []
     if cover is not None:

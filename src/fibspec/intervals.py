@@ -81,10 +81,6 @@ class IntervalSet:
             body = f"[{self.lo[0]:g}, {self.hi[0]:g}], ... , [{self.lo[-1]:g}, {self.hi[-1]:g}] ({len(self)} parts)"
         return f"IntervalSet({body})"
 
-    def pairs(self) -> list[list[float]]:
-        """Endpoint pairs as plain lists (JSON-friendly)."""
-        return [[a, b] for a, b in zip(self.lo.tolist(), self.hi.tolist())]
-
     @property
     def lengths(self) -> np.ndarray:
         return self.hi - self.lo

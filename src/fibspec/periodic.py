@@ -109,14 +109,22 @@ def restricted_jacobian(p: Point3, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     u1, u2 = tangent_frame(p)
-    m = np.eye(3)
-    q = p
-    for _ in range(n):
-        m = jacobian(q) @ m
-        q = apply_map(q)
+    # Walk the orbit before multiplying along it, so that an escaping
+    # orbit is refused before any matrix product can overflow.
+    orbit = [p]
+    try:
+        for _ in range(n):
+            orbit.append(apply_map(orbit[-1]))
+    except ValueError:  # the orbit overflowed: it escapes to infinity
+        raise ValueError(f"point is not n={n} periodic: its orbit escapes "
+                         "to infinity") from None
+    q = orbit[-1]
     drift = max(abs(q.x - p.x), abs(q.y - p.y), abs(q.z - p.z))
     if drift > PERIOD_TOL:
         raise ValueError(f"point is not n={n} periodic: returns with error {drift:.3e}")
+    m = np.eye(3)
+    for q in orbit[:-1]:
+        m = jacobian(q) @ m
     frame = np.column_stack([u1, u2])
     return frame.T @ m @ frame
 

@@ -35,8 +35,12 @@ computation fails loudly.  c only chooses what to rescan: the count of
 the whole level is the certificate.
 
 One kernel, ``_half_trace``, evaluates x_k for the grid scan, the root
-bisection and the membership test alike.  It runs the recursion in place
-in four rows of scratch, with no temporary per step.  The scan walks the
+bisection and the membership test alike.  It runs the recursion on the
+traces t_j = 2 x_j, t_{j+1} = t_j * t_{j-1} - t_{j-2}, in place in four
+rows of scratch: two ufunc calls per step and no temporary.  It halves
+once at the end.  Scaling by 2 is exact in binary floating point, so each
+x_k is bit-identical to the half-trace recursion above, barring overflow
+and results below the normal range.  The scan walks the
 parents in blocks of whole parents and about ``_BLOCK_POINTS`` grid
 points, so its memory does not grow with the number of parents or the
 grid density; every bracket found is bisected together afterwards.
@@ -92,22 +96,30 @@ class SpectrumCover:
 def _half_trace(lam: float, E: np.ndarray, k: int) -> np.ndarray:
     """x_k (k >= 0) at every energy of the 1-d array ``E``.
 
-    The recursion runs in place in four rows of scratch, one step being
-    x_{j+1} = ((2 * x_j) * x_{j-1}) - x_{j-2}, so no temporary is
-    allocated per step; the result is a view of one of those rows.
+    The recursion runs on the traces t_j = 2 x_j,
+
+        t_{-1} = 2,  t_0 = E,  t_1 = E - lam,
+        t_{j+1} = t_j * t_{j-1} - t_{j-2},
+
+    in place in four rows of scratch: one multiply and one subtract per
+    step, and no temporary.  x_k = t_k / 2 is halved once at the end; the
+    result is a view of one of the rows.  Scaling by 2 is exact in binary
+    floating point, so (2c)(2b) - 2a = 2((2c)b - a) bit for bit and the
+    result is the same float as x_{j+1} = ((2 x_j) x_{j-1}) - x_{j-2} run
+    on the half traces, unless an intermediate overflows or falls below
+    the normal range.
     """
-    a, b, c, t = np.empty((4, E.size))
-    np.divide(E, 2.0, out=b)
     if k == 0:
-        return b
-    a.fill(1.0)
+        return E / 2.0
+    a, b, c, t = np.empty((4, E.size))
+    a.fill(2.0)
+    b[:] = E
     np.subtract(E, lam, out=c)
-    c /= 2.0
     for _ in range(2, k + 1):
-        np.multiply(c, 2.0, out=t)
-        t *= b
+        np.multiply(c, b, out=t)
         t -= a
         a, b, c, t = b, c, t, a
+    c /= 2.0
     return c
 
 
@@ -116,20 +128,41 @@ def _bisect_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
     """Refine sign-change brackets of x_k - shift by simultaneous bisection.
 
     ``shift`` is per-bracket, so crossings of +1 and -1 refine together.
-    Raises ValueError if a bracket is still wider than ``tol`` when the
-    passes run out: a bracket one float spacing wide cannot be halved.
+    Each pass moves lo or hi to the midpoint with a branch-free select on
+    the endpoints' int64 bit patterns, in scratch reused across passes; it
+    copies the same bits as ``np.where`` would.  Raises ValueError if a
+    bracket is still wider than ``tol`` when the passes run out: a bracket
+    one float spacing wide cannot be halved.
     """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    mid = np.empty_like(lo)
+    width = np.empty_like(lo)
+    same = np.empty(lo.size, dtype=bool)
+    mask = np.empty(lo.size, dtype=np.int64)
+    flip = np.empty(lo.size, dtype=np.int64)
+    lo_bits, hi_bits, mid_bits = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
     # Bracket widths shrink by half each pass down to one float spacing.
     # band_hierarchy refuses a tol below the spacing of its energy window,
     # and a bracket no wider than that window, 2 * (lam + 3), is below
     # 2**54 of its spacings, so 64 passes always reach tol there.
     for _ in range(64):
-        if np.all(hi - lo <= tol):
+        np.subtract(hi, lo, out=width)
+        if np.all(width <= tol):
             break
-        mid = 0.5 * (lo + hi)
-        same = (_half_trace(lam, mid, k) > shift) == glo_pos
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.greater(_half_trace(lam, mid, k), shift, out=same)
+        np.equal(same, glo_pos, out=same)
+        # mask is all ones where x_k(mid) sits on lo's side, else zero:
+        # there lo takes mid's bits, elsewhere hi does
+        np.negative(same.view(np.int8), out=mask)
+        np.bitwise_xor(lo_bits, mid_bits, out=flip)
+        flip &= mask
+        lo_bits ^= flip
+        np.bitwise_xor(hi_bits, mid_bits, out=flip)
+        flip &= mask
+        np.bitwise_xor(mid_bits, flip, out=hi_bits)
     width = float(np.max(hi - lo, initial=0.0))
     if width > tol:
         raise ValueError(f"bisection stopped at bracket width {width:.3g}, "
@@ -207,8 +240,8 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
     if roots.size:
         root_slots = np.arange(roots.size) - np.concatenate([[0], np.cumsum(counts)])[rparent]
         cuts[offsets[rparent] + 1 + root_slots] = roots
-    cell_idx = np.arange(cuts.size - 1)
-    cell_valid = ~np.isin(cell_idx, offsets[1:] - 1)  # drop inter-parent seams
+    cell_valid = np.ones(cuts.size - 1, dtype=bool)
+    cell_valid[offsets[1:-1] - 1] = False  # drop inter-parent seams
     mids = (0.5 * (cuts[:-1] + cuts[1:]))[cell_valid]
     inside = np.zeros(cuts.size - 1, dtype=bool)
     x_mids = _half_trace(lam, mids, k)

@@ -15,8 +15,10 @@ an energy E enters the picture through the spectral line
 
 whose forward orbit encodes the half-trace recursion of the associated
 quasiperiodic operator.  ``spectrum._half_trace`` runs that recursion
-along the spectral line for the band finder, vectorized over energies;
-the map, the invariant and its gradient here serve the periodic orbits.
+along the spectral line for the band finder, vectorized over energies,
+on the doubled coordinates 2 l(E) = (E - lam, E, 2), where each step
+is t_{j+1} = t_j * t_{j-1} - t_{j-2}; the map, the invariant and its
+gradient here serve the periodic orbits.
 Everything here is exact double-precision arithmetic; no randomness, no
 tolerance knobs.
 """

@@ -4,6 +4,9 @@ Everything here is deliberately naive: brute-force grids and literal
 recursions, no reuse of the library's band-finding or word logic.
 """
 
+import json
+import math
+
 import numpy as np
 
 from fibspec import (IntervalSet, LinearIFS, fibonacci_number,
@@ -15,6 +18,11 @@ from fibspec.errors import BandIsolationError, EigenvalueSeparationError
 MIDDLE_THIRDS = LinearIFS((1 / 3, 1 / 3), (0.0, 2 / 3))
 QUARTER_CORNERS = LinearIFS((0.25, 0.25), (0.0, 0.75))
 BINARY_HALVES = LinearIFS((0.5, 0.5), (0.0, 0.5))
+
+
+def pairs(s: IntervalSet) -> list[list[float]]:
+    """Endpoint pairs of ``s`` as plain lists of floats."""
+    return [[a, b] for a, b in zip(s.lo.tolist(), s.hi.tolist())]
 
 
 def covers(outer: IntervalSet, inner: IntervalSet, slack: float = 0.0) -> bool:
@@ -295,3 +303,62 @@ def unblocked_box_count(s: IntervalSet, eps: float) -> int:
                                np.maximum.accumulate(j1)[:-1]])
     start = np.maximum(j0, prev_max + 1)
     return int(np.sum(np.maximum(0, j1 - start + 1)))
+
+
+# ----------------------------------------------------------------------
+# The document renderer as it stood before floats were rendered in bulk:
+# one format(x, ".17g") per float, arrays through Python lists.  The
+# CLI's documents must be the same bytes.
+# ----------------------------------------------------------------------
+
+def per_value_format_float(x) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("non-finite value in output document")
+    return format(x, ".17g")
+
+
+def per_value_to_json(obj) -> str:
+    """Compact JSON, one value at a time."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return per_value_format_float(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(k)) + ":" + per_value_to_json(v)
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(per_value_to_json(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return per_value_to_json(obj.tolist())
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def per_value_csv_table(header: list[str], rows: list[list]) -> str:
+    """CSV text, one cell at a time.  A row with array cells is first
+    spread into one row per element, its other cells repeated."""
+    def cell(v) -> str:
+        if isinstance(v, str):
+            return v
+        if v is None:
+            return ""
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return per_value_format_float(v)
+
+    lines = [",".join(header)]
+    for row in rows:
+        n = next((v.size for v in row if isinstance(v, np.ndarray)), None)
+        spread = [row] if n is None else [
+            [v[i] if isinstance(v, np.ndarray) else v for v in row]
+            for i in range(n)]
+        lines.extend(",".join(cell(v) for v in r) for r in spread)
+    return "\n".join(lines) + "\n"

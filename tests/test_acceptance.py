@@ -22,7 +22,8 @@ from fibspec import (Point3, attractor_cover, band_hierarchy,
 from fibspec import cli
 from fibspec.spectrum import _half_trace
 
-from oracles import MIDDLE_THIRDS, QUARTER_CORNERS, covers, dense_band_count
+from oracles import (MIDDLE_THIRDS, QUARTER_CORNERS, covers, dense_band_count,
+                     pairs)
 
 
 def _passed(tag: str, detail: str):
@@ -76,8 +77,8 @@ def test_03_first_two_band_sets_match_closed_forms():
     for lam in (0.5, 3.0, 20.0):
         s0, s1 = band_hierarchy(lam, 1)
         assert len(s0) == 1 and len(s1) == 1
-        assert np.allclose(s0.pairs(), [[-2.0, 2.0]], atol=1e-10)
-        assert np.allclose(s1.pairs(), [[lam - 2.0, lam + 2.0]], atol=1e-10)
+        assert np.allclose(pairs(s0), [[-2.0, 2.0]], atol=1e-10)
+        assert np.allclose(pairs(s1), [[lam - 2.0, lam + 2.0]], atol=1e-10)
     _passed("03", "level 0 = [-2,2], level 1 = [lam-2, lam+2] "
                   "at lam in {0.5, 3, 20}")
 

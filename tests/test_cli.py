@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fibspec import cli
 from fibspec.errors import BandIsolationError
 from fibspec.sumset import CROSS_CHECK_TOL
+
+import oracles
 
 COMMANDS = [
     ["spectrum", "--lambda", "5", "--k", "6"],
@@ -154,16 +157,16 @@ def test_json_output_renders_no_csv(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_output_value_exits_one(fmt, monkeypatch, capsys):
-    def payload(**kwargs):
-        return ({}, {"x": math.inf}, [],
-                lambda: cli._csv_table(["x"], [[math.inf]]))
-    monkeypatch.setitem(cli._COMMANDS, "spectrum", dataclasses.replace(
-        cli._COMMANDS["spectrum"], payload=payload))
-    argv = ["spectrum", "--lambda", "5", "--k", "3", "--format", fmt]
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "fibspec: invalid arguments: non-finite value" in captured.err
+    for bad in (math.inf, np.array([0.5, math.nan]), np.array([-math.inf, 1.0])):
+        def payload(**kwargs):
+            return ({}, {"x": bad}, [], lambda: cli._csv_table(["x"], [[bad]]))
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", dataclasses.replace(
+            cli._COMMANDS["spectrum"], payload=payload))
+        argv = ["spectrum", "--lambda", "5", "--k", "3", "--format", fmt]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fibspec: invalid arguments: non-finite value" in captured.err
 
 
 def test_csv_refused_for_scalar_commands(capsys):
@@ -294,6 +297,53 @@ def test_to_json_rejects_non_finite():
         cli.to_json({"x": math.inf})
     with pytest.raises(ValueError):
         cli.to_json({"x": math.nan})
+
+
+# Doubles whose shortest and 17-digit forms differ, or that sit at the
+# ends of the range: signed zero, the least subnormal, the largest double.
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1e16, 1 / 3, 2.0 ** -1022, 123.0]
+
+
+def _random_doubles(n: int) -> np.ndarray:
+    """Finite doubles from uniformly random bit patterns (seeded)."""
+    bits = np.random.default_rng(12).integers(0, 2 ** 64, n, dtype=np.uint64)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x)]
+
+
+@pytest.mark.parametrize("values", [np.array(EDGE_VALUES), _random_doubles(20_000)],
+                         ids=["edges", "random_bits"])
+def test_bulk_rendering_matches_per_value_rendering(values):
+    pairs = np.column_stack([values, values[::-1]])
+    for obj in (values, pairs, {"a": values, "b": [pairs, 1, None]},
+                values[:0], pairs[:0]):
+        assert cli.to_json(obj) == oracles.per_value_to_json(obj)
+    rows = [["s", np.arange(values.size), values, values[::-1]],
+            ["t", 7, None, values[0]], ["empty", np.arange(0), values[:0], values[:0]]]
+    header = ["set", "index", "lo", "hi"]
+    assert cli._csv_table(header, rows) == oracles.per_value_csv_table(header, rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda", "5", "--k", "12"],
+    ["spectrum", "--lambda", "5", "--k", "12", "--format", "csv"],
+    ["sum", "--lambda", "20", "--k", "10"],
+    ["oracle", "--lambda", "5", "--n", "89", "--k", "8"],
+    ["ifs", "--ratios", "0.25,0.25", "--offsets", "0,0.75", "--depth", "6"],
+    ["ifs", "--ratios", "0.25,0.25", "--offsets", "0,0.75", "--depth", "6",
+     "--format", "csv"],
+    ["sweep", "--command", "spectrum", "--start", "2", "--stop", "5",
+     "--count", "4", "--k", "8", "--format", "csv"],
+], ids=lambda a: " ".join(a))
+def test_documents_match_per_value_rendering(argv, monkeypatch, capsys):
+    code, bulk = run(argv, capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "to_json", oracles.per_value_to_json)
+    monkeypatch.setattr(cli, "_csv_table", oracles.per_value_csv_table)
+    code, per_value = run(argv, capsys)
+    assert code == 0
+    assert bulk == per_value
 
 
 @pytest.mark.parametrize("argv", [

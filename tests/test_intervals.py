@@ -3,18 +3,18 @@ import pytest
 
 from fibspec.intervals import IntervalSet
 
-from oracles import covers
+from oracles import covers, pairs
 
 
 def test_from_arrays_merges_touching_and_sorts():
     s = IntervalSet.from_arrays([2.0, 0.0, 1.0], [3.0, 1.0, 2.0])
-    assert s.pairs() == [[0.0, 3.0]]
+    assert pairs(s) == [[0.0, 3.0]]
 
 
 def test_from_arrays_keeps_disjoint_components():
     s = IntervalSet.from_arrays([0.0, 2.0], [1.0, 3.0])
     assert len(s) == 2
-    assert s.pairs() == [[0.0, 1.0], [2.0, 3.0]]
+    assert pairs(s) == [[0.0, 1.0], [2.0, 3.0]]
 
 
 def test_from_arrays_rejects_bad_input():
@@ -30,7 +30,7 @@ def test_point_set():
     s = IntervalSet([(1.5, 1.5)])
     assert len(s) == 1
     assert s.total_length == 0.0
-    assert s.pairs() == [[1.5, 1.5]]
+    assert pairs(s) == [[1.5, 1.5]]
 
 
 def test_empty_set_is_falsy():
@@ -44,14 +44,14 @@ def test_union():
     a = IntervalSet.from_arrays([0.0], [1.0])
     b = IntervalSet.from_arrays([0.5, 3.0], [2.0, 4.0])
     u = a.union(b)
-    assert u.pairs() == [[0.0, 2.0], [3.0, 4.0]]
+    assert pairs(u) == [[0.0, 2.0], [3.0, 4.0]]
 
 
 def test_dilate():
     s = IntervalSet.from_arrays([0.0, 2.0], [1.0, 3.0])
     d = s.dilate(0.6)  # radius large enough to merge the two pieces
-    assert d.pairs() == [[-0.6, 3.6]]
-    assert s.dilate(0.0).pairs() == s.pairs()
+    assert pairs(d) == [[-0.6, 3.6]]
+    assert pairs(s.dilate(0.0)) == pairs(s)
     with pytest.raises(ValueError):
         s.dilate(-0.1)
 

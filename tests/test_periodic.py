@@ -113,6 +113,14 @@ def test_restricted_jacobian_is_area_preserving():
             assert abs(abs(np.linalg.det(m)) - 1.0) <= 1e-8
 
 
+def test_restricted_jacobian_rejects_escaping_point():
+    # the orbit overflows within 64 steps: refused as not periodic, before
+    # any matrix product overflows (a RuntimeWarning is an error here)
+    with pytest.raises(ValueError, match="point is not n=64 periodic: its "
+                                         "orbit escapes to infinity"):
+        restricted_jacobian(Point3(5.0, 4.0, 3.0), 64)
+
+
 def test_log_ratio_values():
     assert log_ratio(0) == pytest.approx(2 / 3, abs=1e-10)
     assert abs(log_ratio(1) - 2 / 3) > 0.05

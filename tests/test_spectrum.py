@@ -10,7 +10,7 @@ from fibspec.errors import BandIsolationError
 from fibspec.spectrum import band_hierarchy
 
 import oracles
-from oracles import dense_band_count
+from oracles import dense_band_count, pairs
 
 
 def half_trace(lam, E, k):
@@ -43,8 +43,9 @@ def test_half_traces_hand_iteration():
 
 
 def test_half_traces_recursion_holds():
-    """The kernel computes each step as ((2 * x_k) * x_{k-1}) - x_{k-2},
-    so the recursion holds exactly, from the first step x_2 on."""
+    """The kernel's traces t = 2x give the floats of
+    ((2 * x_k) * x_{k-1}) - x_{k-2}, so the recursion holds exactly, from
+    the first step x_2 on."""
     E = np.array([-1.0, 0.0, 1.3, 2.0, 3.0])
     xs = {-1: np.ones_like(E), **{j: half_trace(2.5, E, j) for j in range(16)}}
     for k in range(1, 15):
@@ -71,6 +72,50 @@ def test_half_trace_kernel_matches_unblocked_and_keeps_energies():
     assert np.array_equal(E, before)
 
 
+@pytest.mark.parametrize("lam", [0.05, 2.0, 5.0, 20.0])
+def test_trace_kernel_bit_identical_to_half_trace_recursion(lam):
+    """The kernel runs the traces t = 2x and halves once; scaling by 2 is
+    exact, so each x_k is the float that the half-trace recursion gives:
+    across the whole window [-lam - 3, lam + 3] up to k = 8, and up to
+    k = 21 across the bands of levels 15 and 16, the parents of level 17."""
+    window = np.linspace(-lam - 3.0, lam + 3.0, 4001)
+    for k in range(9):
+        assert np.array_equal(spectrum._half_trace(lam, window, k),
+                              oracles.unblocked_half_trace_on_grid(lam, window, k))
+    levels = band_hierarchy(lam, 16)
+    parents = levels[15].union(levels[16])
+    E = (parents.lo[:, None]
+         + parents.lengths[:, None] * np.linspace(0.0, 1.0, 9)).ravel()
+    for k in range(22):
+        assert np.array_equal(spectrum._half_trace(lam, E, k),
+                              oracles.unblocked_half_trace_on_grid(lam, E, k))
+
+
+@pytest.mark.parametrize("lam", [0.05, 2.0, 5.0, 20.0])
+def test_bisection_bit_identical_to_where_bisection(lam):
+    """Seeded random brackets, across the window at level 8 and around the
+    band endpoints at level 16, with shifts +1 and -1 mixed and either
+    sign at lo: the bit-select bisection returns the floats that np.where
+    does, and leaves its arguments alone."""
+    rng = np.random.default_rng(13)
+    sigma16 = band_hierarchy(lam, 16)[16]
+    ends16 = np.concatenate([sigma16.lo, sigma16.hi])
+    n = 3000
+    cases = [(8, rng.uniform(-lam - 3.0, lam + 3.0, n), 10.0 ** rng.uniform(-12, 0, n)),
+             (16, rng.choice(ends16, n), 10.0 ** rng.uniform(-12, -6, n))]
+    for k, centre, width in cases:
+        lo = centre - width * rng.uniform(0.0, 1.0, n)
+        hi = lo + width
+        glo_pos = rng.random(n) < 0.5
+        shift = rng.choice([1.0, -1.0], n)
+        args = (lo, hi, glo_pos, shift)
+        before = [a.copy() for a in args]
+        got = spectrum._bisect_roots(lam, k, *args, 1e-12)
+        want = oracles.unblocked_bisect_roots(lam, k, *args, 1e-12)
+        assert np.array_equal(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(args, before))
+
+
 def test_recursion_is_the_map_on_the_line():
     """(x_{k+1}, x_k, x_{k-1}) must track f^k applied to the line point."""
     rng = np.random.default_rng(11)
@@ -88,22 +133,22 @@ def test_recursion_is_the_map_on_the_line():
 
 
 def test_sigma_band_examples():
-    assert np.allclose(band_hierarchy(7.3, 0)[0].pairs(), [[-2.0, 2.0]],
+    assert np.allclose(pairs(band_hierarchy(7.3, 0)[0]), [[-2.0, 2.0]],
                        atol=1e-10)
-    assert np.allclose(band_hierarchy(3.0, 1)[1].pairs(), [[1.0, 5.0]],
+    assert np.allclose(pairs(band_hierarchy(3.0, 1)[1]), [[1.0, 5.0]],
                        atol=1e-10)
     assert len(band_hierarchy(5.0, 6)[6]) == 13
 
 
 def test_band_endpoints_solve_unit_half_trace():
-    ends = np.ravel(band_hierarchy(5.0, 5)[5].pairs())
+    ends = np.ravel(pairs(band_hierarchy(5.0, 5)[5]))
     assert np.all(np.abs(np.abs(half_trace(5.0, ends, 5)) - 1.0) < 1e-9)
 
 
 def test_cover_examples():
-    assert np.allclose(spectrum_cover(3.0, 0).cover.pairs(), [[-2.0, 5.0]],
+    assert np.allclose(pairs(spectrum_cover(3.0, 0).cover), [[-2.0, 5.0]],
                        atol=1e-10)
-    assert np.allclose(spectrum_cover(5.0, 0).cover.pairs(),
+    assert np.allclose(pairs(spectrum_cover(5.0, 0).cover),
                        [[-2.0, 2.0], [3.0, 7.0]], atol=1e-10)
 
 

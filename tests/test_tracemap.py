@@ -70,15 +70,6 @@ def test_conservation_on_box():
         assert abs(after - before) <= 1e-10 * max(1.0, abs(before))
 
 
-def test_line_invariant_identity():
-    rng = np.random.default_rng(9)
-    lams = rng.uniform(1e-6, 10, size=1000)
-    Es = rng.uniform(-20, 20, size=1000)
-    for lam, E in zip(lams, Es):
-        assert invariant(line_point(lam, E)) == pytest.approx(
-            lam * lam / 4, abs=1e-12)
-
-
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
     h = 1e-6
