@@ -3,9 +3,10 @@
 IntervalSet is the lingua franca between the band finder, the dimension
 estimators, the Minkowski-sum machinery and the IFS sandbox.  The
 normal form is: components sorted by left endpoint, pairwise disjoint,
-with touching endpoints merged (so hi[i] < lo[i+1] strictly).  Degenerate
-single-point components [a, a] are legal and preserved unless a merge
-swallows them.
+with touching endpoints merged (so hi[i] < lo[i+1] strictly), and zero
+endpoints written +0.0.  Degenerate single-point components [a, a] are
+legal and preserved unless a merge swallows them.  Every constructor
+merges by sorting left and right endpoints apart (see _normalize).
 """
 
 from __future__ import annotations
@@ -23,18 +24,16 @@ class IntervalSet:
     def __init__(self, pairs: Iterable[tuple[float, float]] | np.ndarray = ()):
         arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs, dtype=float)
         if arr.size == 0:
-            lo = np.empty(0)
-            hi = np.empty(0)
-        else:
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError("expected pairs of endpoints")
-            lo, hi = _normalize(arr[:, 0].copy(), arr[:, 1].copy())
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("expected pairs of endpoints")
+        lo, hi = _normalize(arr[:, 0].copy(), arr[:, 1].copy())
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    # The constructor sweeps unconditionally; this trusts presorted data.
+    # The constructors merge unconditionally; this trusts normalized data.
     @classmethod
     def _from_normalized(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalSet":
         self = object.__new__(cls)
@@ -48,8 +47,8 @@ class IntervalSet:
 
     @classmethod
     def from_arrays(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalSet":
-        lo2, hi2 = _normalize(np.asarray(lo, dtype=float).copy(), np.asarray(hi, dtype=float).copy())
-        return cls._from_normalized(lo2, hi2)
+        return cls._from_normalized(*_normalize(np.array(lo, dtype=float),
+                                                np.array(hi, dtype=float)))
 
     # -- basic queries ---------------------------------------------------
 
@@ -128,6 +127,15 @@ class IntervalSet:
 
 
 def _normalize(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge [lo[i], hi[i]] into the normal form, sorting lo and hi in
+    place: callers pass arrays they own (IntervalSet(...) and from_arrays
+    copy, minkowski_sum passes temporaries).  Sorted apart, a component
+    starts at each m with lo[m] > hi[m-1].  Exact, because for x in a gap
+    the intervals with lo <= x are those with hi < x; so each component
+    gets its smallest lo and largest hi, and touching intervals merge.
+    The sort breaks ties in no set order, so 0.0 is added to each end:
+    a zero endpoint is always +0.0, and no other float changes.
+    """
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError("endpoint arrays must be 1-d and equal length")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -135,18 +143,9 @@ def _normalize(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(hi < lo):
         j = int(np.argmax(hi < lo))
         raise ValueError(f"reversed interval [{lo[j]}, {hi[j]}]")
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    hi = hi[order]
-    if lo.size <= 1:
-        return lo, hi
-    # Components start wherever the left endpoint clears every right
-    # endpoint seen so far; touching intervals therefore merge.
-    run_hi = np.maximum.accumulate(hi)
-    starts = np.empty(lo.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = lo[1:] > run_hi[:-1]
-    first = np.flatnonzero(starts)
-    out_lo = lo[first]
-    out_hi = np.maximum.reduceat(hi, first)
-    return out_lo, out_hi
+    lo.sort()
+    hi.sort()
+    # cut[m] marks a boundary before position m; cut[0] and cut[n] always
+    cut = np.ones(lo.size + 1, dtype=bool)
+    np.greater(lo[1:], hi[:-1], out=cut[1:-1])
+    return lo[cut[:-1]] + 0.0, hi[cut[1:]] + 0.0

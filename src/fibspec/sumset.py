@@ -29,8 +29,9 @@ from .intervals import IntervalSet, _normalize
 from .spectrum import band_hierarchy
 
 SUM_PAIR_CAP = 10_000_000
-"""Maximum of len(a) * len(b) for a Minkowski sum of a and b: a bound on
-the work, which grows with the number of component pairs; the memory is
+"""Maximum number of pair sums a Minkowski sum of a and b forms:
+len(a) * len(b), or n(n+1)/2 for a self-sum of n components, which
+forms each unordered pair once.  A bound on the work; the memory is
 bounded by the merge window and the output."""
 
 _WINDOW_PAIRS = 1 << 16  # pair sums merged together by minkowski_sum
@@ -49,30 +50,35 @@ EXCEPTIONAL_CAVEAT = (
 )
 
 
-def _refuse_over_cap(n_pairs: int) -> None:
+def _charged_pairs(a: IntervalSet, b: IntervalSet) -> int:
+    """The pair sums minkowski_sum(a, b) forms, each unordered pair once
+    when b is a; SizeCapError when they exceed SUM_PAIR_CAP."""
+    n_pairs = len(a) * (len(a) + 1) // 2 if a is b else len(a) * len(b)
     if n_pairs > SUM_PAIR_CAP:
         raise SizeCapError("pairwise interval sums", n_pairs, SUM_PAIR_CAP)
+    return n_pairs
 
 
 def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """All pairwise sums of components of a and b, merged; refused when
-    len(a) * len(b) exceeds SUM_PAIR_CAP.
+    the pairs it forms exceed SUM_PAIR_CAP.
 
     The pairs are formed and merged one window of left endpoints at a
     time, so memory is bounded by the window and the output, not by the
-    number of pairs.  A self-sum (b is a) forms only the pairs j >= i:
+    number of pairs.  A self-sum (b is a) forms only the n(n+1)/2 pairs
+    j >= i, and is charged that many against the cap:
     fl(a_i + a_j) == fl(a_j + a_i), so the union is the same.  The
-    endpoints are the floats a.lo[i] + b.lo[j] and a.hi[i] + b.hi[j],
-    merged exactly as IntervalSet.from_arrays merges them.
+    endpoints are the floats a.lo[i] + b.lo[j] and a.hi[i] + b.hi[j].
+    Each window is merged in place by intervals._normalize, as
+    IntervalSet.from_arrays merges, and the windows are joined in order.
     """
     if not a or not b:
         raise ValueError("minkowski_sum requires two non-empty interval sets")
-    _refuse_over_cap(len(a) * len(b))
+    n_pairs = _charged_pairs(a, b)
     self_sum = a is b
     if len(a) > len(b):
         a, b = b, a  # rows are the shorter operand
     rows = np.arange(len(a))
-    n_pairs = len(a) * (len(a) + 1) // 2 if self_sum else len(a) * len(b)
     out_lo: list[np.ndarray] = []
     out_hi: list[np.ndarray] = []
     run = -np.inf  # right end of the last component so far
@@ -247,7 +253,7 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
     levels, covers1 = cover_ladder(lambda1, k, tol)
     covers2 = covers1 if lambda2 == lambda1 else cover_ladder(lambda2, k, tol)[1]
     # Refuse an oversized finest sum before forming the coarser ones.
-    _refuse_over_cap(len(covers1[-1]) * len(covers2[-1]))
+    _charged_pairs(covers1[-1], covers2[-1])
 
     sums = [minkowski_sum(covers1[i], covers2[i]) for i in range(len(levels))]
     sum_dim = box_dim_regression(sums, [max(c1.max_length, c2.max_length)

@@ -279,16 +279,46 @@ def uniform_band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[I
 
 
 # ----------------------------------------------------------------------
-# The Minkowski sum as it stood before it was cut into windows: every
-# pair sum formed at once, then sorted and merged in one piece.  The
-# library's windowed sum must return the same endpoints, bit for bit.
+# The interval merge as it stood before it sorted the two endpoint arrays
+# apart: one stable argsort of the left endpoints, then a sweep of the
+# running maximum of the right endpoints.  And the Minkowski sum as it
+# stood before it was cut into windows: every pair sum formed at once,
+# then merged in one piece by that sweep.  The library must return the
+# same endpoints, bit for bit, up to the sign of a zero.
 # ----------------------------------------------------------------------
+
+def argsort_normalize(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Merge [lo[i], hi[i]] by a sweep in stable argsort order of lo; the
+    arguments are left unchanged, and a zero end keeps the sign of the
+    endpoint the sweep picks."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    hi = hi[order]
+    if lo.size <= 1:
+        return lo, hi
+    run_hi = np.maximum.accumulate(hi)
+    starts = np.empty(lo.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = lo[1:] > run_hi[:-1]
+    first = np.flatnonzero(starts)
+    return lo[first], np.maximum.reduceat(hi, first)
+
 
 def all_pairs_minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """All pairwise sums of components of a and b, merged in one piece."""
-    lo = np.add.outer(a.lo, b.lo).ravel()
-    hi = np.add.outer(a.hi, b.hi).ravel()
-    return IntervalSet.from_arrays(lo, hi)
+    lo, hi = argsort_normalize(np.add.outer(a.lo, b.lo).ravel(),
+                               np.add.outer(a.hi, b.hi).ravel())
+    return IntervalSet._from_normalized(lo, hi)
+
+
+def assert_same_endpoints(got: IntervalSet, want: IntervalSet) -> None:
+    """The two sets have the same endpoints, bit for bit: -0.0 and +0.0
+    differ here, unlike under ==."""
+    for x, y in ((got.lo, want.lo), (got.hi, want.hi)):
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 def unblocked_box_count(s: IntervalSet, eps: float) -> int:

@@ -130,6 +130,16 @@ def test_size_cap_exit_three(capsys):
     capsys.readouterr()
 
 
+def test_strong_coupling_sum_at_depth_16_answered(capsys):
+    """The finest self-sum at lambda = 20, k = 16 forms 5,102,415
+    unordered pairs, within the cap; all 3194**2 ordered pairs are not."""
+    code, out = run(["sum", "--lambda", "20", "--k", "16"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["levels"] == [13, 14, 15, 16]
+    assert doc["result"]["sum_cover"]["count"] > 10_000
+
+
 def test_csv_for_interval_commands(capsys):
     code, out = run(["spectrum", "--lambda", "5", "--k", "4",
                      "--format", "csv"], capsys)

@@ -12,7 +12,7 @@ from fibspec.spectrum import band_hierarchy
 from fibspec.sumset import EXCEPTIONAL_CAVEAT
 
 import oracles
-from oracles import pairs
+from oracles import assert_same_endpoints, pairs
 
 
 def iset(*bounds):
@@ -81,11 +81,24 @@ def test_commutative_and_associative():
 
 
 def test_pair_cap():
-    n = 4000
+    n = 4500  # a self-sum forms n(n+1)/2 = 10,127,250 pairs
     lo = np.arange(n, dtype=float) * 2.0
     many = IntervalSet.from_arrays(lo, lo + 0.5)
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match=" 10127250 items"):
         minkowski_sum(many, many)
+
+
+def test_cap_charges_the_pairs_a_sum_forms(monkeypatch):
+    """A self-sum is charged its n(n+1)/2 unordered pairs, a sum of two
+    sets len(a) * len(b), even when they are equal."""
+    cover = cover_ladder(5.0, 10)[1][-1]
+    copy = IntervalSet.from_arrays(cover.lo, cover.hi)
+    n = len(cover)
+    monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n * (n + 1) // 2)
+    assert_same_endpoints(minkowski_sum(cover, cover),
+                          oracles.all_pairs_minkowski_sum(cover, cover))
+    with pytest.raises(SizeCapError, match=f" {n * n} items"):
+        minkowski_sum(cover, copy)
 
 
 def test_sum_cover_levels_nest():
@@ -188,7 +201,8 @@ def test_equal_couplings_build_one_ladder(monkeypatch):
 
 def test_pair_cap_refused_before_any_sum(monkeypatch):
     hier = band_hierarchy(8.0, 9)
-    n_pairs = len(hier[8].union(hier[9])) ** 2
+    n = len(hier[8].union(hier[9]))
+    n_pairs = n * (n + 1) // 2  # the finest self-sum's unordered pairs
     calls = []
     monkeypatch.setattr(sumset, "minkowski_sum",
                         lambda *args, **kw: calls.append(args) or minkowski_sum(*args, **kw))
@@ -201,6 +215,15 @@ def test_pair_cap_refused_before_any_sum(monkeypatch):
     monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n_pairs)
     check_theorem_rect(8.0, 8.0, 8)
     assert len(calls) == 4
+
+
+def test_rect_pair_cap_charges_all_pairs(monkeypatch):
+    n_pairs = len(cover_ladder(8.0, 8)[1][-1]) * len(cover_ladder(9.0, 8)[1][-1])
+    monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n_pairs - 1)
+    with pytest.raises(SizeCapError, match=f" {n_pairs} items"):
+        check_theorem_rect(8.0, 9.0, 8)
+    monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n_pairs)
+    assert check_theorem_rect(8.0, 9.0, 8).levels == [5, 6, 7, 8]
 
 
 def test_report_validates_rhs_and_gap():
@@ -223,11 +246,6 @@ def test_estimator_slack_bound():
     for lam, k in ((0.2, 14), (1.0, 10), (8.0, 8)):
         rep = check_theorem_rect(lam, lam, k)
         assert rep.sum_dim_est.value <= 1.02
-
-
-def assert_same_endpoints(got, want):
-    assert np.array_equal(got.lo, want.lo)
-    assert np.array_equal(got.hi, want.hi)
 
 
 @pytest.mark.parametrize("window", [None, 61])
