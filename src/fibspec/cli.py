@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BandIsolationError, EigenvalueSeparationError, SizeCapError
-from .hamiltonian import eigenvalues, fibonacci_tridiagonal
+from .hamiltonian import _refuse_over_cap, eigenvalues, fibonacci_tridiagonal
 from .ifs import LinearIFS, attractor_cover, log_ratio_resonance, similarity_dim
 from .intervals import IntervalSet
 from .periodic import log_ratio, orbit_info_p, orbit_info_q, scan_exceptional
@@ -187,6 +187,7 @@ def _spectrum_payload(lam: float, k: int, tol: float):
 
 def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
                     dilate: float, tol: float):
+    _refuse_over_cap(n)  # before the matrix, the cover or the solve
     m = fibonacci_tridiagonal(lam, n, omega0)
     # the cover refuses a bad --k at once, before the eigensolve
     cover = None if k is None else spectrum_cover(lam, k).cover.dilate(dilate)

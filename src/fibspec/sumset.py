@@ -98,10 +98,9 @@ def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         if total == 0:
             continue
         offsets = np.cumsum(counts) - counts
-        pair_row = np.repeat(rows, counts)
         pair_col = np.arange(total) + np.repeat(lo_col - offsets, counts)
-        wlo, whi = _normalize(a.lo[pair_row] + b.lo[pair_col],
-                              a.hi[pair_row] + b.hi[pair_col])
+        wlo, whi = _normalize(np.repeat(a.lo, counts) + b.lo[pair_col],
+                              np.repeat(a.hi, counts) + b.hi[pair_col])
         # Components that reach back to the running right end continue
         # the last component of the previous windows.
         joined = int(np.searchsorted(wlo, run, side="right"))

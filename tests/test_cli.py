@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibspec import cli
+from fibspec import cli, hamiltonian
 from fibspec.errors import BandIsolationError
 from fibspec.sumset import CROSS_CHECK_TOL
 
@@ -517,6 +517,20 @@ def test_oracle_refuses_bad_level_before_the_eigensolve(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "fibspec: invalid arguments: level must be >= 0" in captured.err
+
+
+def test_oracle_over_the_site_cap_exits_three(monkeypatch, capsys):
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("built before the size cap was checked")
+    for name in ("fibonacci_tridiagonal", "spectrum_cover", "eigenvalues"):
+        monkeypatch.setattr(cli, name, nothing_built)
+    n = hamiltonian._EIGENSOLVE_SITE_CAP + 1
+    assert cli.main(["oracle", "--lambda", "5", "--n", str(n),
+                     "--k", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"fibspec: size cap exceeded: eigensolve matrix sites: {n} items "
+            f"exceeds cap {n - 1}") in captured.err
 
 
 def test_weak_coupling_band_isolation_exits_two(capsys):

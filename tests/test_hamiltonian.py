@@ -9,7 +9,7 @@ import oracles
 from fibspec import (ALPHA, FibonacciPotential, TridiagonalMatrix,
                      eigenvalues, fibonacci_tridiagonal)
 from fibspec import hamiltonian
-from fibspec.errors import EigenvalueSeparationError
+from fibspec.errors import EigenvalueSeparationError, SizeCapError
 
 from oracles import (plain_bisection_eigenvalues, plain_count_below,
                      substitution_word)
@@ -92,6 +92,18 @@ def test_eigenvalues_bit_identical_to_plain_bisection(lam, n, omega0, tol):
     assert np.array_equal(eigenvalues(m, tol), plain_bisection_eigenvalues(m, tol))
 
 
+@pytest.mark.parametrize("lam, n, omega0, tol", [
+    (5.0, 2584, 0.37, 1e-10),
+    (20.0, 1597, 0.37, 1e-10),
+])
+def test_eigenvalues_bit_identical_at_benchmark_sizes(lam, n, omega0, tol):
+    """The largest boxes the oracle benchmark solves; each ends in a
+    partial block of sites."""
+    assert n % hamiltonian._COUNT_BLOCK != 0
+    m = fibonacci_tridiagonal(lam, n, omega0)
+    assert np.array_equal(eigenvalues(m, tol), plain_bisection_eigenvalues(m, tol))
+
+
 def test_eigenvalues_bit_identical_on_many_valued_diagonal():
     m = TridiagonalMatrix(np.random.default_rng(5).uniform(-2, 2, size=60))
     assert np.array_equal(eigenvalues(m), plain_bisection_eigenvalues(m))
@@ -158,7 +170,13 @@ def _count_grid(m):
                            [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf]])
 
 
-@pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 987])
+_B = hamiltonian._COUNT_BLOCK
+
+
+# sizes around one and two blocks of sites, and n < B, where the one
+# block is the whole matrix
+@pytest.mark.parametrize("n", sorted({1, 15, 16, 17, 33, 987,
+                                      _B - 1, _B, _B + 1, 2 * _B + 1}))
 @pytest.mark.parametrize("lam", [0.0, 2.0, 5.0, 20.0])
 def test_blocked_count_equals_site_by_site_count(lam, n):
     m = fibonacci_tridiagonal(lam, n)
@@ -192,6 +210,17 @@ def test_blocked_count_with_zero_pivot_at_block_seam(offset):
     assert d == 0.0
     m = TridiagonalMatrix(diag)
     t = np.array([0.0, -0.0, 1e-300, -1e-300, 0.25, -0.5])
+    assert np.array_equal(m.count_below(t), plain_count_below(m.diagonal, t))
+
+
+@pytest.mark.parametrize("block", [255, 256])
+def test_block_tally_holds_a_full_block(monkeypatch, block):
+    """Every pivot negative: a block's tally at 255, the most a uint8
+    tally holds, or at 256, one past it, and a total above 255."""
+    monkeypatch.setattr(hamiltonian, "_COUNT_BLOCK", block)
+    m = fibonacci_tridiagonal(5.0, 600)
+    t = np.array([math.inf, 1e6, -1e6])
+    assert m.count_below(t).tolist() == [600, 600, 0]
     assert np.array_equal(m.count_below(t), plain_count_below(m.diagonal, t))
 
 
@@ -258,3 +287,13 @@ def test_stalled_separation_failure_matches_plain_bisection():
         plain_bisection_eigenvalues(m, 1e-17)
     assert got.value.indices == want.value.indices
     assert got.value.width == want.value.width
+
+
+def test_eigensolve_over_the_cap_refused_before_any_count(monkeypatch):
+    def no_count(self, t):
+        raise AssertionError("a Sturm sweep ran")
+    monkeypatch.setattr(TridiagonalMatrix, "count_below", no_count)
+    n = hamiltonian._EIGENSOLVE_SITE_CAP + 1
+    with pytest.raises(SizeCapError) as refused:
+        eigenvalues(fibonacci_tridiagonal(5.0, n))
+    assert (refused.value.requested, refused.value.cap) == (n, n - 1)
