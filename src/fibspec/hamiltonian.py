@@ -162,8 +162,7 @@ class TridiagonalMatrix:
                     prev = recip
                 m = len(sites)
                 np.signbit(recips[:m], out=negs[:m])
-                np.add.reduce(negs[:m].view(np.uint8), axis=0,
-                              dtype=tally.dtype, out=tally)
+                np.add.reduce(negs[:m].view(np.uint8), axis=0, out=tally)
                 count += tally
         if np.ndim(t) == 0:
             return int(count[0])
