@@ -5,18 +5,15 @@ a linear-IFS sandbox, and closed-form periodic-orbit data.
 """
 
 from .dimension import (DimensionEstimate, box_count, box_dim_regression,
-                        moran_dim, solve_partition_exponent)
+                        solve_partition_exponent)
 from .errors import BandIsolationError, EigenvalueSeparationError, SizeCapError
-from .hamiltonian import (ALPHA, FibonacciPotential, TridiagonalMatrix,
-                          eigenvalues, fibonacci_tridiagonal)
+from .hamiltonian import (ALPHA, TridiagonalMatrix, eigenvalues,
+                          fibonacci_tridiagonal)
 from .ifs import (LinearIFS, ResonanceVerdict, attractor_cover,
                   log_ratio_resonance, similarity_dim)
 from .intervals import IntervalSet
-from .periodic import (PeriodicPointInfo, g_p, g_q, jacobian, log_ratio,
-                       minimal_period, multiplier_p_closed,
-                       multiplier_q_closed, orbit_info_p, orbit_info_q,
-                       point_p, point_q, restricted_jacobian,
-                       restricted_multiplier, scan_exceptional, tangent_frame)
+from .periodic import (PeriodicPointInfo, log_ratio, orbit_info,
+                       scan_exceptional)
 from .spectrum import (SpectrumCover, band_hierarchy, fibonacci_number,
                        spectrum_cover)
 from .sumset import (TheoremReport, check_theorem_rect, cover_ladder,
@@ -30,7 +27,6 @@ __all__ = [
     "BandIsolationError",
     "DimensionEstimate",
     "EigenvalueSeparationError",
-    "FibonacciPotential",
     "IntervalSet",
     "LinearIFS",
     "PeriodicPointInfo",
@@ -50,28 +46,15 @@ __all__ = [
     "eigenvalues",
     "fibonacci_number",
     "fibonacci_tridiagonal",
-    "g_p",
-    "g_q",
     "invariant",
     "invariant_gradient",
-    "jacobian",
     "ladder_dimension",
     "log_ratio",
     "log_ratio_resonance",
-    "minimal_period",
     "minkowski_sum",
-    "moran_dim",
-    "multiplier_p_closed",
-    "multiplier_q_closed",
-    "orbit_info_p",
-    "orbit_info_q",
-    "point_p",
-    "point_q",
-    "restricted_jacobian",
-    "restricted_multiplier",
+    "orbit_info",
     "scan_exceptional",
     "similarity_dim",
     "solve_partition_exponent",
     "spectrum_cover",
-    "tangent_frame",
 ]

@@ -35,7 +35,7 @@ from .errors import BandIsolationError, EigenvalueSeparationError, SizeCapError
 from .hamiltonian import _refuse_over_cap, eigenvalues, fibonacci_tridiagonal
 from .ifs import LinearIFS, attractor_cover, log_ratio_resonance, similarity_dim
 from .intervals import IntervalSet
-from .periodic import log_ratio, orbit_info_p, orbit_info_q, scan_exceptional
+from .periodic import log_ratio, orbit_info, scan_exceptional
 from .spectrum import fibonacci_number, spectrum_cover
 from .sumset import check_theorem_rect, cover_ladder, ladder_dimension
 
@@ -277,8 +277,7 @@ def _periodic_payload(a: float | None, scan: list[float] | None, grid: int,
         caveats = ["proximity flags are candidates only; rationality of the "
                    "log-multiplier ratio cannot be decided in floating point"]
         return config, result, caveats, None
-    info_p = orbit_info_p(a)
-    info_q = orbit_info_q(a)
+    info_p, info_q = orbit_info(a)
     config = {"a": a}
     result = {
         "a": a,

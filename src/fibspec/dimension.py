@@ -1,8 +1,8 @@
 """Box-counting and partition-exponent (Moran) dimension estimators.
 
-Both estimators consume IntervalSet covers.  Box counting uses half-open
-cells [j*eps, (j+1)*eps) anchored at 0, with the exact occupancy rule
-spelled out on box_count.
+Box counting consumes IntervalSet covers, in half-open cells
+[j*eps, (j+1)*eps) anchored at 0, with the exact occupancy rule spelled
+out on box_count.  The partition exponent is solved from band lengths.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ class DimensionEstimate:
     standard error for box estimates and 0 for Moran.  ``levels_used``
     lists the indices of the cover levels that entered a regression.
     ``degenerate`` flags inputs with no scaling content (all counts
-    equal; a single short band).  ``approximate`` marks Moran values on
-    band systems that are not exactly self-similar.
+    equal).  ``approximate`` marks Moran values on band systems that are
+    not exactly self-similar.
     """
 
     value: float
@@ -135,27 +135,3 @@ def solve_partition_exponent(lengths: np.ndarray) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def moran_dim(bands: IntervalSet, approximate: bool = False) -> DimensionEstimate:
-    """Partition exponent of a band system: the s with sum(len_i**s) = 1.
-
-    For the exact cover of a self-similar set this is the similarity
-    dimension; on spectral band systems it is a fixed-level estimate and
-    callers should set ``approximate=True``.  A system of fewer than two
-    bands has exponent 0 by convention (degenerate flag set).
-    """
-    if not bands:
-        raise ValueError("empty band system")
-    lengths = bands.lengths
-    if np.any(lengths >= 1.0):
-        raise ValueError("band lengths must be < 1 for a partition exponent")
-    if len(bands) == 1:
-        if lengths[0] <= 0:
-            raise ValueError("a single degenerate point has no partition exponent")
-        return DimensionEstimate(0.0, 0.0, [], "moran", degenerate=True,
-                                 approximate=approximate)
-    if np.any(lengths <= 0):
-        raise ValueError("degenerate bands not admitted in a multi-band system")
-    s = solve_partition_exponent(lengths)
-    return DimensionEstimate(s, 0.0, [], "moran", approximate=approximate)

@@ -52,34 +52,6 @@ _EIGENSOLVE_SITE_CAP = 46_368
 
 
 @dataclass(frozen=True)
-class FibonacciPotential:
-    """The two-valued quasiperiodic potential at coupling ``lam``.
-
-    ``omega0`` shifts the sampling phase; the spectrum of the full-line
-    operator does not depend on it, which finite-section experiments can
-    probe but not prove.
-    """
-
-    lam: float
-    omega0: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and math.isfinite(self.omega0)):
-            raise ValueError("coupling and phase must be finite")
-
-    def word(self, n_from: int, n_to: int) -> np.ndarray:
-        """0/1 word w(n) for n in [n_from, n_to], inclusive."""
-        if n_from > n_to:
-            raise ValueError("empty site range")
-        n = np.arange(n_from, n_to + 1, dtype=float)
-        frac = np.mod(n * ALPHA + self.omega0, 1.0)
-        return (frac >= 1.0 - ALPHA).astype(np.int64)
-
-    def diagonal(self, n_from: int, n_to: int) -> np.ndarray:
-        return self.lam * self.word(n_from, n_to).astype(float)
-
-
-@dataclass(frozen=True)
 class TridiagonalMatrix:
     """Symmetric tridiagonal matrix with unit off-diagonal entries."""
 
@@ -170,11 +142,20 @@ class TridiagonalMatrix:
 
 
 def fibonacci_tridiagonal(lam: float, n: int, omega0: float = 0.0) -> TridiagonalMatrix:
-    """Dirichlet truncation of the Fibonacci Hamiltonian to sites 1..n."""
+    """Dirichlet truncation of the Fibonacci Hamiltonian to sites 1..n:
+    the diagonal is lam * w(1), ..., lam * w(n).
+
+    ``omega0`` shifts the sampling phase; the spectrum of the full-line
+    operator does not depend on it, which finite-section experiments can
+    probe but not prove.
+    """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    pot = FibonacciPotential(lam, omega0)
-    return TridiagonalMatrix(pot.diagonal(1, n))
+    if not (math.isfinite(lam) and math.isfinite(omega0)):
+        raise ValueError("coupling and phase must be finite")
+    sites = np.arange(1, n + 1, dtype=float)
+    word = np.mod(sites * ALPHA + omega0, 1.0) >= 1.0 - ALPHA
+    return TridiagonalMatrix(lam * word.astype(float))
 
 
 def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:

@@ -6,6 +6,14 @@ coordinates and closed-form unstable multipliers.  The ratio of the two
 log-multipliers is 2/3 at a = 0 and varies with a, which is the quantity
 the parameter scan probes for rational values.
 
+Each family is declared once, in ``_FAMILIES``.  ``orbit_info(a)`` places
+both points, walks each orbit once to find its period, multiplies the
+differential along that same walk, and restricts the product to the
+tangent plane of the surface.  From a = 2.03e31 on, where the period-4
+point's y-coordinate g reaches 2**52, -g + 0.5 is no longer a double, so
+the float orbit does not close; ``orbit_info`` refuses such an a as past
+the precision floor.
+
 The surface parameter a corresponds to coupling lam = 2*sqrt(a): the
 spectral line of coupling lam lies on the surface {I = lam**2/4}.
 """
@@ -32,43 +40,46 @@ def _require_surface_parameter(a: float) -> float:
     return a
 
 
-def g_p(a: float) -> float:
-    """y-coordinate of the period-4 point on the surface {I = a}."""
-    a = _require_surface_parameter(a)
-    return (1.0 + math.sqrt(9.0 + 16.0 * a)) / 4.0
+def _multiplier_p(g: float) -> float:
+    """The restricted 4-step differential at (-1/2, g, -1/2) has trace
+    T = 8g(1-2g)+1 (T <= -7 for a >= 0) and determinant 1, so the
+    expanding eigenvalue has magnitude (|T| + sqrt(T^2 - 4))/2."""
+    trace = 8.0 * g * (1.0 - 2.0 * g) + 1.0
+    return (abs(trace) + math.sqrt(trace * trace - 4.0)) / 2.0
 
 
-def g_q(a: float) -> float:
-    """y-coordinate of the period-6 point on the surface {I = a}."""
-    a = _require_surface_parameter(a)
-    return math.sqrt(a + 1.0)
+def _multiplier_q(g: float) -> float:
+    """S + sqrt(S^2 - 1) with S = 8g^4 + 1, at (0, g, 0)."""
+    s = 8.0 * g ** 4 + 1.0
+    return s + math.sqrt(s * s - 1.0)
 
 
-def point_p(a: float) -> Point3:
-    g = g_p(a)
-    return Point3(-0.5, g, -0.5)
+#: The period-4 and the period-6 family as (x = z coordinate, y-coordinate
+#: g of the point (x, g, x) on the surface {I = a}, unstable multiplier
+#: from g).
+_FAMILIES = (
+    (-0.5, lambda a: (1.0 + math.sqrt(9.0 + 16.0 * a)) / 4.0, _multiplier_p),
+    (0.0, lambda a: math.sqrt(a + 1.0), _multiplier_q),
+)
 
 
-def point_q(a: float) -> Point3:
-    g = g_q(a)
-    return Point3(0.0, g, 0.0)
-
-
-def minimal_period(p: Point3) -> int:
-    """Smallest n <= PERIOD_MAX with max|f^n(p) - p| < PERIOD_TOL."""
-    q = p
-    for n in range(1, PERIOD_MAX + 1):
+def _orbit(p: Point3) -> list[Point3]:
+    """p, f(p), ..., f^n(p) for the smallest n <= PERIOD_MAX with
+    max|f^n(p) - p| < PERIOD_TOL."""
+    orbit = [p]
+    for _ in range(PERIOD_MAX):
         try:
-            q = apply_map(q)
+            q = apply_map(orbit[-1])
         except ValueError:  # the orbit overflowed: it escapes to infinity
             break
+        orbit.append(q)
         if max(abs(q.x - p.x), abs(q.y - p.y), abs(q.z - p.z)) < PERIOD_TOL:
-            return n
+            return orbit
     raise ValueError(f"point {tuple(p)} is not periodic within {PERIOD_MAX} "
                      f"steps at tol {PERIOD_TOL}")
 
 
-def jacobian(p: Point3) -> np.ndarray:
+def _jacobian(p: Point3) -> np.ndarray:
     """Differential of the trace map; determinant is identically -1."""
     return np.array([
         [2.0 * p.y, 2.0 * p.x, -1.0],
@@ -77,7 +88,7 @@ def jacobian(p: Point3) -> np.ndarray:
     ])
 
 
-def tangent_frame(p: Point3) -> tuple[np.ndarray, np.ndarray]:
+def _tangent_frame(p: Point3) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of the plane orthogonal to the invariant's
     gradient at p, built by Gram-Schmidt from the two coordinate axes
     least aligned with the gradient.  Rejects surface singular points
@@ -101,67 +112,15 @@ def tangent_frame(p: Point3) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
-def restricted_jacobian(p: Point3, n: int) -> np.ndarray:
-    """2x2 matrix of the n-step differential along the orbit of p,
-    expressed in the tangent frame at p.  Requires f^n(p) = p to PERIOD_TOL;
-    the map preserves both the invariant and area, so the result has
-    determinant of magnitude 1 up to roundoff."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    u1, u2 = tangent_frame(p)
-    # Walk the orbit before multiplying along it, so that an escaping
-    # orbit is refused before any matrix product can overflow.
-    orbit = [p]
-    try:
-        for _ in range(n):
-            orbit.append(apply_map(orbit[-1]))
-    except ValueError:  # the orbit overflowed: it escapes to infinity
-        raise ValueError(f"point is not n={n} periodic: its orbit escapes "
-                         "to infinity") from None
-    q = orbit[-1]
-    drift = max(abs(q.x - p.x), abs(q.y - p.y), abs(q.z - p.z))
-    if drift > PERIOD_TOL:
-        raise ValueError(f"point is not n={n} periodic: returns with error {drift:.3e}")
+def _restricted_jacobian(orbit: list[Point3], frame: np.ndarray) -> np.ndarray:
+    """2x2 matrix of the differential along ``orbit``, in the tangent
+    frame (columns of ``frame``) at its closing point.  The map preserves
+    both the invariant and area, so the determinant has magnitude 1 up to
+    roundoff."""
     m = np.eye(3)
     for q in orbit[:-1]:
-        m = jacobian(q) @ m
-    frame = np.column_stack([u1, u2])
+        m = _jacobian(q) @ m
     return frame.T @ m @ frame
-
-
-def restricted_multiplier(p: Point3, n: int) -> float:
-    """Largest eigenvalue magnitude of the restricted n-step differential."""
-    eigs = np.linalg.eigvals(restricted_jacobian(p, n))
-    return float(np.max(np.abs(eigs)))
-
-
-def multiplier_p_closed(a: float) -> float:
-    """Unstable multiplier of the period-4 orbit, in closed form.
-
-    The restricted 4-step differential has trace T = 8g(1-2g)+1 with
-    g = g_p(a) (T <= -7 for a >= 0) and determinant 1, so the expanding
-    eigenvalue has magnitude (|T| + sqrt(T^2 - 4))/2.
-    """
-    g = g_p(a)
-    trace = 8.0 * g * (1.0 - 2.0 * g) + 1.0
-    return (abs(trace) + math.sqrt(trace * trace - 4.0)) / 2.0
-
-
-def multiplier_q_closed(a: float) -> float:
-    """Unstable multiplier of the period-6 orbit, in closed form:
-    S + sqrt(S^2 - 1) with S = 8*g_q(a)**4 + 1."""
-    g = g_q(a)
-    s = 8.0 * g ** 4 + 1.0
-    return s + math.sqrt(s * s - 1.0)
-
-
-def log_ratio(a: float) -> float:
-    """log of the period-4 multiplier over log of the period-6 one.
-
-    Equals 2/3 exactly at a = 0, where both multipliers are the 4th and
-    6th powers of the same base, and moves away from 2/3 as a grows.
-    """
-    return math.log(multiplier_p_closed(a)) / math.log(multiplier_q_closed(a))
 
 
 @dataclass(frozen=True)
@@ -183,29 +142,50 @@ class PeriodicPointInfo:
             raise ValueError("multipliers of a hyperbolic orbit must exceed 1")
 
 
-def _orbit_info(a: float, point: Point3, closed: float) -> PeriodicPointInfo:
-    n = minimal_period(point)
-    numeric = restricted_multiplier(point, n)
-    u1, u2 = tangent_frame(point)
+def _orbit_info(a: float, x: float, g_of, multiplier) -> PeriodicPointInfo:
+    g = g_of(a)
+    point = Point3(x, g, x)
+    try:
+        orbit = _orbit(point)
+    except ValueError:  # the point is periodic: rounding kept it from closing
+        raise ValueError(
+            f"the orbit of the periodic point {tuple(point)} does not close "
+            f"to {PERIOD_TOL} in double precision: its coordinates are past "
+            "the precision floor") from None
+    u1, u2 = _tangent_frame(point)
+    m = _restricted_jacobian(orbit, np.column_stack([u1, u2]))
     return PeriodicPointInfo(
-        a=float(a),
+        a=a,
         lam=2.0 * math.sqrt(a),
         point=point,
-        period=n,
-        multiplier_closed=closed,
-        multiplier_numeric=numeric,
+        period=len(orbit) - 1,
+        multiplier_closed=multiplier(g),
+        multiplier_numeric=float(np.max(np.abs(np.linalg.eigvals(m)))),
         tangent_frame=(tuple(u1), tuple(u2)),
     )
 
 
-def orbit_info_p(a: float) -> PeriodicPointInfo:
+def orbit_info(a: float) -> tuple[PeriodicPointInfo, PeriodicPointInfo]:
+    """The period-4 and the period-6 orbit on the surface {I = a}.
+
+    A ValueError names the precision floor where a float orbit of a
+    family's exactly periodic point does not close.
+    """
     a = _require_surface_parameter(a)
-    return _orbit_info(a, point_p(a), multiplier_p_closed(a))
+    info_p, info_q = (_orbit_info(a, *family) for family in _FAMILIES)
+    return info_p, info_q
 
 
-def orbit_info_q(a: float) -> PeriodicPointInfo:
+def log_ratio(a: float) -> float:
+    """log of the period-4 multiplier over log of the period-6 one, from
+    the closed forms.
+
+    Equals 2/3 exactly at a = 0, where both multipliers are the 4th and
+    6th powers of the same base, and moves away from 2/3 as a grows.
+    """
     a = _require_surface_parameter(a)
-    return _orbit_info(a, point_q(a), multiplier_q_closed(a))
+    mp, mq = (multiplier(g_of(a)) for _, g_of, multiplier in _FAMILIES)
+    return math.log(mp) / math.log(mq)
 
 
 def scan_exceptional(a_min: float, a_max: float, grid: int, qmax: int,

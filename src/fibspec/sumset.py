@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimension import DimensionEstimate, box_dim_regression, moran_dim
+from .dimension import (DimensionEstimate, box_dim_regression,
+                        solve_partition_exponent)
 from .errors import SizeCapError
 from .intervals import IntervalSet, _normalize
 from .spectrum import band_hierarchy
@@ -190,7 +191,8 @@ def ladder_dimension(covers: list[IntervalSet]
     of the underlying set, not of the fattening.  The partition exponent
     is that of the finest cover, or None where it means nothing: fewer
     than two bands, a length outside (0, 1), or lengths summing to 1 or
-    more.
+    more.  It is flagged approximate: a spectral band system is not
+    exactly self-similar.
     """
     box = box_dim_regression(covers, [c.max_length for c in covers])
     finest = covers[-1]
@@ -198,7 +200,8 @@ def ladder_dimension(covers: list[IntervalSet]
     if (len(finest) < 2 or np.any(lengths <= 0) or np.any(lengths >= 1)
             or lengths.sum() >= 1.0):
         return box, None
-    return box, moran_dim(finest, approximate=True)
+    return box, DimensionEstimate(solve_partition_exponent(lengths), 0.0, [],
+                                  "moran", approximate=True)
 
 
 def _factor_report(covers: list[IntervalSet], which: str,

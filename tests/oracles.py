@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from fibspec import (IntervalSet, LinearIFS, fibonacci_number,
-                     multiplier_p_closed, multiplier_q_closed)
+from fibspec import (IntervalSet, LinearIFS, Point3, apply_map,
+                     fibonacci_number, invariant_gradient)
 from fibspec.errors import BandIsolationError, EigenvalueSeparationError
 
 # Self-similar sets of known dimension for the IFS sandbox: log 2 / log 3,
@@ -392,3 +392,105 @@ def per_value_csv_table(header: list[str], rows: list[list]) -> str:
             for i in range(n)]
         lines.extend(",".join(cell(v) for v in r) for r in spread)
     return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------------
+# The periodic orbits as they stood before each family was declared once:
+# a function per family for each coordinate and closed form, one walk to
+# find the period and a second walk, with its own checks, to multiply the
+# differential along the orbit.  ``orbit_info`` must return the same
+# floats, bit for bit.
+# ----------------------------------------------------------------------
+
+def g_p(a: float) -> float:
+    """y-coordinate of the period-4 point on the surface {I = a}."""
+    return (1.0 + math.sqrt(9.0 + 16.0 * float(a))) / 4.0
+
+
+def g_q(a: float) -> float:
+    """y-coordinate of the period-6 point on the surface {I = a}."""
+    return math.sqrt(float(a) + 1.0)
+
+
+def point_p(a: float) -> Point3:
+    return Point3(-0.5, g_p(a), -0.5)
+
+
+def point_q(a: float) -> Point3:
+    return Point3(0.0, g_q(a), 0.0)
+
+
+def multiplier_p_closed(a: float) -> float:
+    """Unstable multiplier of the period-4 orbit: the restricted 4-step
+    differential has trace T = 8g(1-2g)+1 and determinant 1."""
+    g = g_p(a)
+    trace = 8.0 * g * (1.0 - 2.0 * g) + 1.0
+    return (abs(trace) + math.sqrt(trace * trace - 4.0)) / 2.0
+
+
+def multiplier_q_closed(a: float) -> float:
+    """Unstable multiplier of the period-6 orbit: S + sqrt(S^2 - 1) with
+    S = 8*g_q(a)**4 + 1."""
+    g = g_q(a)
+    s = 8.0 * g ** 4 + 1.0
+    return s + math.sqrt(s * s - 1.0)
+
+
+def minimal_period(p: Point3, tol: float = 1e-10, max_steps: int = 64) -> int:
+    """Smallest n <= max_steps with max|f^n(p) - p| < tol."""
+    q = p
+    for n in range(1, max_steps + 1):
+        try:
+            q = apply_map(q)
+        except ValueError:  # the orbit overflowed
+            break
+        if max(abs(q.x - p.x), abs(q.y - p.y), abs(q.z - p.z)) < tol:
+            return n
+    raise ValueError(f"point {tuple(p)} is not periodic within {max_steps} steps")
+
+
+def jacobian(p: Point3) -> np.ndarray:
+    return np.array([
+        [2.0 * p.y, 2.0 * p.x, -1.0],
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+    ])
+
+
+def tangent_frame(p: Point3) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt basis of the plane normal to the invariant's gradient,
+    from the two coordinate axes least aligned with it."""
+    grad = invariant_gradient(p)
+    normal = grad / float(np.linalg.norm(grad))
+    axes = np.argsort(np.abs(grad), kind="stable")
+    e1 = np.zeros(3)
+    e1[axes[0]] = 1.0
+    u1 = e1 - np.dot(e1, normal) * normal
+    u1 /= np.linalg.norm(u1)
+    e2 = np.zeros(3)
+    e2[axes[1]] = 1.0
+    u2 = e2 - np.dot(e2, normal) * normal - np.dot(e2, u1) * u1
+    u2 /= np.linalg.norm(u2)
+    return u1, u2
+
+
+def restricted_jacobian(p: Point3, n: int) -> np.ndarray:
+    """The n-step differential along the orbit of p, in the tangent frame
+    at p, walked afresh and checked to return within 1e-10."""
+    u1, u2 = tangent_frame(p)
+    orbit = [p]
+    for _ in range(n):
+        orbit.append(apply_map(orbit[-1]))
+    q = orbit[-1]
+    assert max(abs(q.x - p.x), abs(q.y - p.y), abs(q.z - p.z)) <= 1e-10
+    m = np.eye(3)
+    for q in orbit[:-1]:
+        m = jacobian(q) @ m
+    frame = np.column_stack([u1, u2])
+    return frame.T @ m @ frame
+
+
+def restricted_multiplier(p: Point3, n: int) -> float:
+    """Largest eigenvalue magnitude of the restricted n-step differential."""
+    eigs = np.linalg.eigvals(restricted_jacobian(p, n))
+    return float(np.max(np.abs(eigs)))

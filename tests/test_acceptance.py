@@ -16,10 +16,10 @@ import pytest
 from fibspec import (Point3, attractor_cover, band_hierarchy,
                      box_dim_regression, check_theorem_rect, eigenvalues,
                      fibonacci_number, fibonacci_tridiagonal, invariant,
-                     log_ratio, minimal_period, minkowski_sum, moran_dim,
-                     orbit_info_p, orbit_info_q, point_p, point_q,
-                     restricted_jacobian, spectrum_cover)
+                     log_ratio, minkowski_sum, orbit_info,
+                     solve_partition_exponent, spectrum_cover)
 from fibspec import cli
+from fibspec.periodic import _orbit, _restricted_jacobian, _tangent_frame
 from fibspec.spectrum import _half_trace
 
 from oracles import (MIDDLE_THIRDS, QUARTER_CORNERS, covers, dense_band_count,
@@ -123,27 +123,29 @@ def test_06_finite_box_eigenvalues_land_in_the_cover():
 def test_07_dimension_estimators_agree_on_middle_thirds():
     thirds = MIDDLE_THIRDS
     first_level = attractor_cover(thirds, 1)
-    moran = moran_dim(first_level)
+    moran = solve_partition_exponent(first_level.lengths)
     target = math.log(2) / math.log(3)
-    assert moran.value == pytest.approx(target, abs=1e-6)
+    assert moran == pytest.approx(target, abs=1e-6)
     depths = range(4, 13)
     covers = [attractor_cover(thirds, d) for d in depths]
     box = box_dim_regression(covers[2:], [3.0 ** -d for d in depths][2:])
     assert box.value == pytest.approx(0.6309, abs=0.02)
-    _passed("07", f"middle thirds: partition exponent {moran.value:.6f}, "
+    _passed("07", f"middle thirds: partition exponent {moran:.6f}, "
                   f"box estimate {box.value:.4f}")
 
 
 def test_08_periodic_orbits_match_closed_form_multipliers():
     t0 = time.perf_counter()
     for a in (0.25, 1.0, 4.0):
-        for info, pt, n in ((orbit_info_p(a), point_p(a), 4),
-                            (orbit_info_q(a), point_q(a), 6)):
+        for info, n in zip(orbit_info(a), (4, 6)):
+            pt = info.point
             assert abs(invariant(pt) - a) <= 1e-12 * max(1.0, a)
-            assert minimal_period(pt) == n
+            orbit = _orbit(pt)
+            assert info.period == len(orbit) - 1 == n
             rel = abs(info.multiplier_numeric - info.multiplier_closed)
             assert rel <= 1e-8 * abs(info.multiplier_closed)
-            det = np.linalg.det(restricted_jacobian(pt, n))
+            frame = np.column_stack(_tangent_frame(pt))
+            det = np.linalg.det(_restricted_jacobian(orbit, frame))
             assert abs(abs(det) - 1.0) <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -90,6 +90,18 @@ def test_invalid_arguments_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_periodic_past_the_precision_floor_exits_one(capsys):
+    """The period-4 point (-1/2, 1e20, -1/2) is periodic, but its float
+    orbit cannot close: the refusal names the precision floor."""
+    assert cli.main(["periodic", "--a", "1e40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "fibspec: invalid arguments: the orbit of the periodic point "
+        "(-0.5, 1e+20, -0.5) does not close to 1e-10 in double precision: "
+        "its coordinates are past the precision floor")
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 @pytest.mark.parametrize("argv", [
     ["oracle", "--lambda", "5", "--n", "8"],

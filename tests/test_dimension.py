@@ -5,10 +5,10 @@ import pytest
 
 import oracles
 from fibspec import (DimensionEstimate, attractor_cover, box_count,
-                     box_dim_regression, moran_dim, solve_partition_exponent)
+                     box_dim_regression, solve_partition_exponent)
 from fibspec import dimension
 from fibspec.intervals import IntervalSet
-from fibspec.sumset import cover_ladder, minkowski_sum
+from fibspec.sumset import cover_ladder, ladder_dimension, minkowski_sum
 
 LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 
@@ -125,32 +125,35 @@ def test_regression_scale_invariance():
 
 def test_moran_examples():
     thirds = IntervalSet.from_arrays([0.0, 2 / 3], [1 / 3, 1.0])
-    assert moran_dim(thirds).value == pytest.approx(LOG2_OVER_LOG3, abs=1e-9)
+    assert solve_partition_exponent(thirds.lengths) == pytest.approx(
+        LOG2_OVER_LOG3, abs=1e-9)
 
     quarters = IntervalSet.from_arrays([0.0, 1.0, 2.0, 3.0],
                                        [0.25, 1.25, 2.25, 3.25])
-    assert moran_dim(quarters).value == pytest.approx(1.0, abs=1e-9)
-
-    single = moran_dim(IntervalSet.from_arrays([0.0], [0.5]))
-    assert single.value == 0.0
-    assert single.degenerate
+    assert solve_partition_exponent(quarters.lengths) == pytest.approx(
+        1.0, abs=1e-9)
 
 
 def test_moran_rejects_long_bands():
     with pytest.raises(ValueError):
-        moran_dim(IntervalSet.from_arrays([0.0, 2.0], [1.5, 2.5]))
+        solve_partition_exponent(
+            IntervalSet.from_arrays([0.0, 2.0], [1.5, 2.5]).lengths)
 
 
 def test_moran_monotone_in_band_insertion():
     base = IntervalSet.from_arrays([0.0, 2 / 3], [1 / 3, 1.0])
     bigger = base.union(IntervalSet.from_arrays([2.0], [2.2]))
-    assert moran_dim(bigger).value > moran_dim(base).value
+    assert (solve_partition_exponent(bigger.lengths)
+            > solve_partition_exponent(base.lengths))
 
 
 def test_moran_approximate_flag_propagates():
-    thirds = IntervalSet.from_arrays([0.0, 2 / 3], [1 / 3, 1.0])
-    assert moran_dim(thirds, approximate=True).approximate
-    assert not moran_dim(thirds).approximate
+    """The ladder's partition exponent is that of its finest cover, flagged
+    approximate: spectral band systems are not exactly self-similar."""
+    covers = [attractor_cover(oracles.MIDDLE_THIRDS, d) for d in range(4, 8)]
+    _, moran = ladder_dimension(covers)
+    assert moran.method == "moran" and moran.approximate
+    assert moran.value == solve_partition_exponent(covers[-1].lengths)
 
 
 def test_partition_exponent_no_root_rejected():
@@ -172,8 +175,8 @@ def test_estimators_agree_on_self_similar_sets():
         ratio = ifs.ratios[0]
         eps = [ratio ** d for d in depths]
         box = box_dim_regression(covers[2:], eps[2:])
-        moran = moran_dim(bands)
-        assert abs(box.value - moran.value) <= 0.03
+        moran = solve_partition_exponent(bands.lengths)
+        assert abs(box.value - moran) <= 0.03
 
 
 def test_estimate_value_range_enforced():

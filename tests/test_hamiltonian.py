@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from fibspec import (ALPHA, FibonacciPotential, TridiagonalMatrix,
-                     eigenvalues, fibonacci_tridiagonal)
+from fibspec import (ALPHA, TridiagonalMatrix, eigenvalues,
+                     fibonacci_tridiagonal)
 from fibspec import hamiltonian
 from fibspec.errors import EigenvalueSeparationError, SizeCapError
 
@@ -15,22 +15,33 @@ from oracles import (plain_bisection_eigenvalues, plain_count_below,
                      substitution_word)
 
 
+def _word(n: int, omega0: float = 0.0) -> list[int]:
+    """The 0/1 word w(1), ..., w(n), read off the diagonal at coupling 1."""
+    return [int(v) for v in fibonacci_tridiagonal(1.0, n, omega0).diagonal]
+
+
 def test_potential_first_values():
-    p = FibonacciPotential(lam=1.0)
-    assert p.word(1, 5).tolist() == [1, 0, 1, 1, 0]
-    assert p.word(0, 0).tolist() == [0]
+    assert fibonacci_tridiagonal(1.0, 5).diagonal.tolist() == [1.0, 0.0, 1.0,
+                                                                1.0, 0.0]
+    assert fibonacci_tridiagonal(2.5, 5).diagonal.tolist() == [2.5, 0.0, 2.5,
+                                                                2.5, 0.0]
 
 
 def test_potential_matches_substitution_word():
-    p = FibonacciPotential(lam=1.0)
-    assert p.word(1, 100).tolist() == substitution_word(100)
+    assert _word(100) == substitution_word(100)
 
 
 def test_word_factor_structure():
     """No '00' and no '111' occur in the golden-rotation coding."""
-    w = "".join(map(str, FibonacciPotential(1.0).word(1, 500)))
+    w = "".join(map(str, _word(500)))
     assert "00" not in w
     assert "111" not in w
+
+
+def test_potential_refuses_non_finite_coupling_and_phase():
+    for lam, omega0 in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="coupling and phase must be finite"):
+            fibonacci_tridiagonal(lam, 5, omega0)
 
 
 def test_threshold_constant():
@@ -76,9 +87,9 @@ def test_sturm_count_matches_numpy():
 
 
 def test_omega0_shift_changes_word_but_not_structure():
-    base = FibonacciPotential(1.0, omega0=0.0).word(1, 50)
-    shifted = FibonacciPotential(1.0, omega0=0.37).word(1, 50)
-    assert base.tolist() != shifted.tolist()
+    base = _word(50, omega0=0.0)
+    shifted = _word(50, omega0=0.37)
+    assert base != shifted
     w = "".join(map(str, shifted))
     assert "00" not in w and "111" not in w
 
