@@ -136,6 +136,16 @@ def test_restricted_jacobian_is_area_preserving():
             assert abs(abs(np.linalg.det(m)) - 1.0) <= 1e-8
 
 
+def test_restricted_jacobian_rejects_escaping_point():
+    # The orbit overflows within 64 steps: the walk that feeds the
+    # restricted product refuses it as not periodic, before any matrix
+    # product overflows (a RuntimeWarning is an error here).
+    p = Point3(5.0, 4.0, 3.0)
+    with pytest.raises(ValueError, match=r"point \(5\.0, 4\.0, 3\.0\) is not "
+                                         "periodic within 64 steps"):
+        _restricted_jacobian(_orbit(p), np.column_stack(_tangent_frame(p)))
+
+
 @pytest.mark.parametrize("a", [0.0, 0.25, 1.0, 4.0, 10.0, 123.456, 1e10, 1e30,
                                *np.linspace(0.0, 5.0, 21).tolist()])
 def test_orbit_info_bit_identical_to_reference(a):
