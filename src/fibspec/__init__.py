@@ -14,16 +14,16 @@ from .ifs import (LinearIFS, ResonanceVerdict, attractor_cover,
 from .intervals import IntervalSet
 from .periodic import (PeriodicPointInfo, log_ratio, orbit_info,
                        scan_exceptional)
-from .spectrum import (SpectrumCover, band_hierarchy, fibonacci_number,
-                       spectrum_cover)
-from .sumset import (TheoremReport, check_theorem_rect, cover_ladder,
-                     ladder_dimension, minkowski_sum)
+from .spectrum import BandHierarchy, band_hierarchy, fibonacci_number
+from .sumset import (TheoremReport, check_theorem_rect, ladder_dimension,
+                     minkowski_sum)
 from .tracemap import Point3, apply_map, invariant, invariant_gradient
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA",
+    "BandHierarchy",
     "BandIsolationError",
     "DimensionEstimate",
     "EigenvalueSeparationError",
@@ -33,7 +33,6 @@ __all__ = [
     "Point3",
     "ResonanceVerdict",
     "SizeCapError",
-    "SpectrumCover",
     "TheoremReport",
     "TridiagonalMatrix",
     "apply_map",
@@ -42,7 +41,6 @@ __all__ = [
     "box_count",
     "box_dim_regression",
     "check_theorem_rect",
-    "cover_ladder",
     "eigenvalues",
     "fibonacci_number",
     "fibonacci_tridiagonal",
@@ -56,5 +54,4 @@ __all__ = [
     "scan_exceptional",
     "similarity_dim",
     "solve_partition_exponent",
-    "spectrum_cover",
 ]

@@ -36,8 +36,8 @@ from .hamiltonian import _refuse_over_cap, eigenvalues, fibonacci_tridiagonal
 from .ifs import LinearIFS, attractor_cover, log_ratio_resonance, similarity_dim
 from .intervals import IntervalSet
 from .periodic import log_ratio, orbit_info, scan_exceptional
-from .spectrum import fibonacci_number, spectrum_cover
-from .sumset import check_theorem_rect, cover_ladder, ladder_dimension
+from .spectrum import band_hierarchy, fibonacci_number
+from .sumset import check_theorem_rect, ladder_dimension
 
 INTERVAL_EMBED_CAP = 10_000
 """Interval lists above this size are summarized instead of embedded."""
@@ -168,21 +168,21 @@ def _intervals_csv(named: list[tuple[str, IntervalSet]]) -> str:
 # ----------------------------------------------------------------------
 
 def _spectrum_payload(lam: float, k: int, tol: float):
-    sc = spectrum_cover(lam, k, tol)
+    hier = band_hierarchy(lam, k + 1, tol)
+    sigma_k, sigma_k1, cover = hier[k], hier[k + 1], hier.cover(k)
     caveats: list[str] = []
     config = {"lambda": lam, "k": k, "tol": tol}
     result = {
-        "band_count_k": len(sc.sigma_k),
-        "band_count_k_plus_1": len(sc.sigma_k1),
+        "band_count_k": len(sigma_k),
+        "band_count_k_plus_1": len(sigma_k1),
         "fibonacci_degree_k": fibonacci_number(k),
         "fibonacci_degree_k_plus_1": fibonacci_number(k + 1),
-        "sigma_k": _interval_dict(sc.sigma_k, caveats, "sigma_k"),
-        "sigma_k_plus_1": _interval_dict(sc.sigma_k1, caveats, "sigma_k_plus_1"),
-        "cover": _interval_dict(sc.cover, caveats, "cover"),
+        "sigma_k": _interval_dict(sigma_k, caveats, "sigma_k"),
+        "sigma_k_plus_1": _interval_dict(sigma_k1, caveats, "sigma_k_plus_1"),
+        "cover": _interval_dict(cover, caveats, "cover"),
     }
     return config, result, caveats, lambda: _intervals_csv(
-        [("sigma_k", sc.sigma_k), ("sigma_k_plus_1", sc.sigma_k1),
-         ("cover", sc.cover)])
+        [("sigma_k", sigma_k), ("sigma_k_plus_1", sigma_k1), ("cover", cover)])
 
 
 def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
@@ -190,7 +190,7 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
     _refuse_over_cap(n)  # before the matrix, the cover or the solve
     m = fibonacci_tridiagonal(lam, n, omega0)
     # the cover refuses a bad --k at once, before the eigensolve
-    cover = None if k is None else spectrum_cover(lam, k).cover.dilate(dilate)
+    cover = None if k is None else band_hierarchy(lam, k + 1).cover(k).dilate(dilate)
     evs = eigenvalues(m, tol)
     config = {"lambda": lam, "n": n, "omega0": omega0, "k": k,
               "dilate": dilate, "tol": tol}
@@ -214,7 +214,7 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
 
 
 def _dim_payload(lam: float, k: int, tol: float):
-    levels, covers = cover_ladder(lam, k, tol)
+    levels, covers = band_hierarchy(lam, k + 1, tol).ladder(k)
     box, moran = ladder_dimension(covers)
     caveats: list[str] = []
     if moran is None:

@@ -181,10 +181,18 @@ def log_ratio(a: float) -> float:
     the closed forms.
 
     Equals 2/3 exactly at a = 0, where both multipliers are the 4th and
-    6th powers of the same base, and moves away from 2/3 as a grows.
+    6th powers of the same base, and moves away from 2/3 as a grows.  A
+    ValueError names the precision floor where either multiplier is not a
+    finite double: from a ~ 4.09e76 on, the period-6 one overflows.
     """
     a = _require_surface_parameter(a)
-    mp, mq = (multiplier(g_of(a)) for _, g_of, multiplier in _FAMILIES)
+    try:
+        mp, mq = (multiplier(g_of(a)) for _, g_of, multiplier in _FAMILIES)
+    except OverflowError:  # g ** 4 of the period-6 form, from a ~ 1e155 on
+        mp = mq = math.inf
+    if not (math.isfinite(mp) and math.isfinite(mq)):
+        raise ValueError(f"the closed-form multipliers at a = {a!r} overflow a "
+                         "double: a is past the precision floor")
     return math.log(mp) / math.log(mq)
 
 
@@ -197,7 +205,7 @@ def scan_exceptional(a_min: float, a_max: float, grid: int, qmax: int,
     Proximity flagging, not exact rationality: the scan is a screen for
     candidates, and widening qmax can only grow the flagged set.
     """
-    a_min = _require_surface_parameter(a_min)
+    a_min, a_max = (_require_surface_parameter(a) for a in (a_min, a_max))
     if not (a_min < a_max):
         raise ValueError("need a_min < a_max")
     if grid < 2:

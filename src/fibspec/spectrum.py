@@ -46,12 +46,15 @@ points, so its memory does not grow with the number of parents or the
 grid density; every bracket found is bisected together afterwards.
 Blocking changes no float operation, so the bands are the same floats as
 those of a scan over one whole grid of the same per-parent sizes.
+
+``band_hierarchy`` returns the levels as a ``BandHierarchy``: a tuple
+that also forms the two-level covers sigma_j | sigma_{j+1}, which contain
+the spectrum and are nested up to endpoint tolerance, and their ladders.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +67,9 @@ from .intervals import IntervalSet
 _POINTS_PER_BAND = 16
 _RUNGS = (256, 1024, 4096, 16384)
 _BLOCK_POINTS = 16384  # grid points per block of the scan
+
+LADDER_LEVELS = 4
+"""Cover levels k-3 .. k enter the sum-dimension regression."""
 
 
 def fibonacci_number(k: int) -> int:
@@ -78,15 +84,46 @@ def fibonacci_number(k: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class SpectrumCover:
-    """Adjacent approximants whose union contains the spectrum."""
+class BandHierarchy(tuple):
+    """The tuple sigma_0 .. sigma_{k_max} at coupling ``lam``, with its
+    two-level covers and the ladders of four covers built from them."""
 
-    lam: float
-    k: int
-    sigma_k: IntervalSet
-    sigma_k1: IntervalSet
-    cover: IntervalSet
+    def __new__(cls, lam: float, levels):
+        self = super().__new__(cls, levels)
+        self.lam = lam
+        return self
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self.lam, tuple(self)
+
+    def cover(self, j: int) -> IntervalSet:
+        """The two-level cover sigma_j | sigma_{j+1}."""
+        if j < 0:  # j = -1 would index sigma_{k_max} from the end
+            raise ValueError("level must be >= 0")
+        return self[j].union(self[j + 1])
+
+    def ladder(self, k: int) -> tuple[list[int], list[IntervalSet]]:
+        """Cover levels k-3 .. k and the covers at those levels, coarse to
+        fine; the hierarchy must reach level k + 1.
+
+        Each cover is counted at the width of its widest band, so those
+        widths must strictly shrink with depth.  Consecutive covers share
+        sigma_{j+1}, and where its widest band is the widest of both covers
+        the ladder is refused (ValueError naming the two levels).  The sum's
+        scales are the larger of two factors' widths, so they shrink whenever
+        both factor ladders do.
+        """
+        if not (k >= LADDER_LEVELS - 1):
+            raise ValueError(f"need k >= {LADDER_LEVELS - 1} for the level ladder")
+        levels = list(range(k - LADDER_LEVELS + 1, k + 1))
+        covers = [self.cover(j) for j in levels]
+        for j, coarse, fine in zip(levels, covers, covers[1:]):
+            if fine.max_length >= coarse.max_length:
+                raise ValueError(
+                    f"cover levels {j} and {j + 1} at lambda={self.lam:g} share "
+                    f"their widest band (width {fine.max_length:.6g}), so the "
+                    "box-count scales do not shrink with depth")
+        return levels, covers
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +329,7 @@ def _level_bands(lam: float, k: int, parents: IntervalSet,
     return bands
 
 
-def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[IntervalSet]:
+def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> BandHierarchy:
     """sigma_0 .. sigma_{k_max} computed by hierarchical refinement.
 
     Levels 0 and 1 are isolated from a scan of the operator-norm window
@@ -322,19 +359,4 @@ def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[IntervalS
         expect = np.bincount(np.searchsorted(parents.lo, merged, "right") - 1,
                              minlength=len(parents))
         levels.append(_level_bands(lam, k, parents, expect, tol))
-    return levels
-
-
-def spectrum_cover(lam: float, k: int, tol: float = 1e-12) -> SpectrumCover:
-    """The two-level cover sigma_k | sigma_{k+1} of the spectrum.
-
-    The union contains the true spectrum for every k, and successive
-    covers are nested (up to endpoint tolerance), which makes them
-    certified outer approximations.
-    """
-    levels = band_hierarchy(lam, k + 1, tol)
-    if k < 0:  # k = -1 passes the hierarchy's checks, then indexes from the end
-        raise ValueError("level must be >= 0")
-    sk = levels[k]
-    sk1 = levels[k + 1]
-    return SpectrumCover(lam, k, sk, sk1, sk.union(sk1))
+    return BandHierarchy(lam, levels)

@@ -38,9 +38,6 @@ bounded by the merge window and the output."""
 _WINDOW_PAIRS = 1 << 16  # pair sums merged together by minkowski_sum
 _SAMPLE_SIDE = 256  # window edges come from at most 256**2 sampled sums
 
-LADDER_LEVELS = 4
-"""Cover levels k-3 .. k enter the sum-dimension regression."""
-
 CROSS_CHECK_TOL = 0.05
 """Disagreement between the box estimate and the partition-exponent
 cross-check of a factor dimension beyond this width earns a caveat."""
@@ -220,40 +217,15 @@ def _factor_report(covers: list[IntervalSet], which: str,
     return est
 
 
-def cover_ladder(lam: float, k: int,
-                 tol: float = 1e-12) -> tuple[list[int], list[IntervalSet]]:
-    """Cover levels k-3 .. k and the two-level covers sigma_j | sigma_{j+1}
-    at those levels, coarse to fine, from one band hierarchy.
-
-    Each cover is counted at the width of its widest band, so those
-    widths must strictly shrink with depth.  Consecutive covers share
-    sigma_{j+1}, and where its widest band is the widest of both covers
-    the ladder is refused (ValueError naming the two levels).  The sum's
-    scales are the larger of two factors' widths, so they shrink whenever
-    both factor ladders do.
-    """
-    if not (k >= LADDER_LEVELS - 1):
-        raise ValueError(f"need k >= {LADDER_LEVELS - 1} for the level ladder")
-    levels = list(range(k - LADDER_LEVELS + 1, k + 1))
-    hier = band_hierarchy(lam, k + 1, tol=tol)
-    covers = [hier[j].union(hier[j + 1]) for j in levels]
-    for j, coarse, fine in zip(levels, covers, covers[1:]):
-        if fine.max_length >= coarse.max_length:
-            raise ValueError(
-                f"cover levels {j} and {j + 1} at lambda={lam:g} share their "
-                f"widest band (width {fine.max_length:.6g}), so the box-count "
-                "scales do not shrink with depth")
-    return levels, covers
-
-
 def check_theorem_rect(lambda1: float, lambda2: float, k: int,
                        tol: float = 1e-12) -> TheoremReport:
     """Compare dim(cover(lambda1,k) + cover(lambda2,k)) with
     min(d1 + d2, 1) over cover levels k-3 .. k."""
     if k > 16:
         raise ValueError("cover depth k > 16 is beyond the supported range")
-    levels, covers1 = cover_ladder(lambda1, k, tol)
-    covers2 = covers1 if lambda2 == lambda1 else cover_ladder(lambda2, k, tol)[1]
+    levels, covers1 = band_hierarchy(lambda1, k + 1, tol).ladder(k)
+    covers2 = (covers1 if lambda2 == lambda1
+               else band_hierarchy(lambda2, k + 1, tol).ladder(k)[1])
     # Refuse an oversized finest sum before forming the coarser ones.
     _charged_pairs(covers1[-1], covers2[-1])
 

@@ -10,8 +10,9 @@ import math
 import numpy as np
 
 from fibspec import (IntervalSet, LinearIFS, Point3, apply_map,
-                     fibonacci_number, invariant_gradient)
+                     band_hierarchy, fibonacci_number, invariant_gradient)
 from fibspec.errors import BandIsolationError, EigenvalueSeparationError
+from fibspec.spectrum import LADDER_LEVELS
 
 # Self-similar sets of known dimension for the IFS sandbox: log 2 / log 3,
 # 1/2 and 1.
@@ -276,6 +277,43 @@ def uniform_band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[I
             raise BandIsolationError(lam, k, len(bands), expected)
         levels.append(bands)
     return levels
+
+
+# ----------------------------------------------------------------------
+# The two-level covers and the cover ladder as they stood before the
+# band hierarchy formed them itself: each strips a fresh hierarchy to its
+# levels and rebuilds the unions.  BandHierarchy.cover and .ladder must
+# return the same endpoints, bit for bit, and the same refusals.
+# ----------------------------------------------------------------------
+
+def spectrum_cover(lam: float, k: int, tol: float = 1e-12
+                   ) -> tuple[IntervalSet, IntervalSet, IntervalSet]:
+    """sigma_k, sigma_{k+1} and their union."""
+    levels = list(band_hierarchy(lam, k + 1, tol))
+    if k < 0:  # k = -1 passes the hierarchy's checks, then indexes from the end
+        raise ValueError("level must be >= 0")
+    sk = levels[k]
+    sk1 = levels[k + 1]
+    return sk, sk1, sk.union(sk1)
+
+
+def cover_ladder(lam: float, k: int,
+                 tol: float = 1e-12) -> tuple[list[int], list[IntervalSet]]:
+    """Cover levels k-3 .. k and their covers, coarse to fine, refused
+    for k < 3 before any hierarchy is built, and where two consecutive
+    covers share their widest band."""
+    if not (k >= LADDER_LEVELS - 1):
+        raise ValueError(f"need k >= {LADDER_LEVELS - 1} for the level ladder")
+    levels = list(range(k - LADDER_LEVELS + 1, k + 1))
+    hier = list(band_hierarchy(lam, k + 1, tol=tol))
+    covers = [hier[j].union(hier[j + 1]) for j in levels]
+    for j, coarse, fine in zip(levels, covers, covers[1:]):
+        if fine.max_length >= coarse.max_length:
+            raise ValueError(
+                f"cover levels {j} and {j + 1} at lambda={lam:g} share their "
+                f"widest band (width {fine.max_length:.6g}), so the box-count "
+                "scales do not shrink with depth")
+    return levels, covers
 
 
 # ----------------------------------------------------------------------

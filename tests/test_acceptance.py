@@ -17,7 +17,7 @@ from fibspec import (Point3, attractor_cover, band_hierarchy,
                      box_dim_regression, check_theorem_rect, eigenvalues,
                      fibonacci_number, fibonacci_tridiagonal, invariant,
                      log_ratio, minkowski_sum, orbit_info,
-                     solve_partition_exponent, spectrum_cover)
+                     solve_partition_exponent)
 from fibspec import cli
 from fibspec.periodic import _orbit, _restricted_jacobian, _tangent_frame
 from fibspec.spectrum import _half_trace
@@ -99,8 +99,8 @@ def test_04_band_counts_follow_fibonacci_and_dense_grid_oracle():
 def test_05_covers_nest_as_depth_grows():
     hier = band_hierarchy(2.0, 12)
     for k in range(11):
-        outer = hier[k].union(hier[k + 1]).dilate(1e-9)
-        inner = hier[k + 1].union(hier[k + 2])
+        outer = hier.cover(k).dilate(1e-9)
+        inner = hier.cover(k + 1)
         assert covers(outer, inner)
     _passed("05", "lam=2 cover(k+1) within cover(k) + 1e-9 for k <= 10")
 
@@ -110,7 +110,7 @@ def test_06_finite_box_eigenvalues_land_in_the_cover():
     fractions = {}
     for lam in (1.0, 5.0):
         evs = eigenvalues(fibonacci_tridiagonal(lam, 610))
-        cover = spectrum_cover(lam, 12).cover.dilate(1e-2)
+        cover = band_hierarchy(lam, 13).cover(12).dilate(1e-2)
         fractions[lam] = float(np.mean(cover.contains_points(evs)))
         assert fractions[lam] >= 0.95
     elapsed = time.perf_counter() - t0

@@ -102,6 +102,32 @@ def test_periodic_past_the_precision_floor_exits_one(capsys):
         "its coordinates are past the precision floor")
 
 
+@pytest.mark.parametrize("argv", [
+    ["periodic", "--scan", "1e70", "1e80", "--grid", "11", "--qmax", "10"],
+    ["periodic", "--scan", "1e77", "1e300", "--grid", "3"],
+], ids=" ".join)
+def test_periodic_scan_past_the_precision_floor_exits_one(argv, capsys):
+    """From a ~ 4.09e76 on the period-6 multiplier overflows a double: the
+    scan once flagged such points as 0/1, or ended in a traceback."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "fibspec: invalid arguments: the closed-form multipliers at a = ")
+    assert captured.err.endswith(
+        "overflow a double: a is past the precision floor\n")
+
+
+@pytest.mark.parametrize("a_max", ["inf", "nan"])
+def test_periodic_scan_refuses_non_finite_a_max(a_max, capsys):
+    # an infinite a_max once reached the grid and came out as nan
+    assert cli.main(["periodic", "--scan", "0", a_max, "--grid", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fibspec: invalid arguments: surface parameter "
+                            f"must be finite and >= 0, got {a_max}\n")
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 @pytest.mark.parametrize("argv", [
     ["oracle", "--lambda", "5", "--n", "8"],
@@ -534,7 +560,7 @@ def test_oracle_refuses_bad_level_before_the_eigensolve(monkeypatch, capsys):
 def test_oracle_over_the_site_cap_exits_three(monkeypatch, capsys):
     def nothing_built(*args, **kwargs):
         raise AssertionError("built before the size cap was checked")
-    for name in ("fibonacci_tridiagonal", "spectrum_cover", "eigenvalues"):
+    for name in ("fibonacci_tridiagonal", "band_hierarchy", "eigenvalues"):
         monkeypatch.setattr(cli, name, nothing_built)
     n = hamiltonian._EIGENSOLVE_SITE_CAP + 1
     assert cli.main(["oracle", "--lambda", "5", "--n", str(n),
@@ -567,6 +593,23 @@ def test_shared_widest_band_refused_by_name(argv, levels, width, capsys):
     assert (f"fibspec: invalid arguments: cover levels {levels[0]} and "
             f"{levels[1]} at lambda={lam} share their widest band "
             f"(width {width})") in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dim", "--lambda", "5", "--k", "2"], "need k >= 3 for the level ladder"),
+    (["sum", "--lambda", "5", "--k", "2"], "need k >= 3 for the level ladder"),
+    # the hierarchy's own refusals come before the ladder's depth check
+    (["dim", "--lambda", "5", "--k", "-5"], "level must be >= 0"),
+    (["dim", "--lambda", "0", "--k", "2"],
+     "coupling must be > 0 for spectral band computation"),
+    (["sum", "--lambda", "0", "--k", "2"],
+     "coupling must be > 0 for spectral band computation"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_ladder_refusal_precedence(argv, message, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fibspec: invalid arguments: {message}\n"
 
 
 def test_python_dash_m_runs_the_cli(capsys):

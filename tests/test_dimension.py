@@ -8,7 +8,8 @@ from fibspec import (DimensionEstimate, attractor_cover, box_count,
                      box_dim_regression, solve_partition_exponent)
 from fibspec import dimension
 from fibspec.intervals import IntervalSet
-from fibspec.sumset import cover_ladder, ladder_dimension, minkowski_sum
+from fibspec.spectrum import band_hierarchy
+from fibspec.sumset import ladder_dimension, minkowski_sum
 
 LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 
@@ -45,7 +46,7 @@ def test_blocked_box_count_matches_unblocked(block, monkeypatch):
     wide_first = IntervalSet.from_arrays(
         np.concatenate([[0.0], 1.1 + np.arange(20) * 0.05]),
         np.concatenate([[1.05], 1.12 + np.arange(20) * 0.05]))
-    sums = [minkowski_sum(c, c) for c in cover_ladder(5.0, 9)[1]]
+    sums = [minkowski_sum(c, c) for c in band_hierarchy(5.0, 10).ladder(9)[1]]
     monkeypatch.setattr(dimension, "_BLOCK_COMPONENTS", block)
     for s, eps_list in [(wide_first, (1.0, 0.3, 0.01))] + [
             (s, (s.max_length, s.max_length / 16, 1.0)) for s in sums]:

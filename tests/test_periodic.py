@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,41 @@ def test_log_ratio_continuity():
     a = np.linspace(0, 10, 1001)
     vals = np.array([log_ratio(x) for x in a])
     assert np.max(np.abs(np.diff(vals))) < 5e-3
+
+
+# The last double a at which the period-6 multiplier S + sqrt(S^2 - 1),
+# S = 8(a + 1)^2 + 1, is finite: at the next one S^2 overflows.
+LAST_FINITE_A = 4.0938685753732067e76
+
+
+def test_log_ratio_is_the_reference_up_to_the_precision_floor():
+    for a in (1e60, 1e76, LAST_FINITE_A):
+        assert log_ratio(a) == (math.log(oracles.multiplier_p_closed(a))
+                                / math.log(oracles.multiplier_q_closed(a)))
+    assert log_ratio(LAST_FINITE_A) == pytest.approx(0.5039, abs=1e-4)
+
+
+@pytest.mark.parametrize("a", [math.nextafter(LAST_FINITE_A, math.inf), 1e77,
+                               1e153, 1e155, 1e300, sys.float_info.max])
+def test_log_ratio_refuses_past_the_precision_floor(a):
+    """Past the floor the ratio was 0.0 (the period-6 multiplier alone
+    overflows), nan (both do) or an OverflowError (from g**4)."""
+    with pytest.raises(ValueError, match=r"the closed-form multipliers at "
+                                         r"a = .* overflow a double: a is "
+                                         "past the precision floor"):
+        log_ratio(a)
+
+
+def test_scan_refuses_past_the_precision_floor():
+    with pytest.raises(ValueError, match="past the precision floor"):
+        scan_exceptional(1e70, 1e80, grid=11, qmax=10)
+
+
+@pytest.mark.parametrize("a_max", [math.inf, math.nan, -1.0])
+def test_scan_validates_a_max_up_front(a_max):
+    with pytest.raises(ValueError, match="surface parameter must be finite "
+                                         f"and >= 0, got {a_max}"):
+        scan_exceptional(0.0, a_max, grid=3, qmax=10)
 
 
 def test_orbit_info_bundles():

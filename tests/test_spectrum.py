@@ -1,10 +1,12 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fibspec import (IntervalSet, Point3, apply_map, fibonacci_number,
-                     spectrum_cover)
+from fibspec import (BandHierarchy, IntervalSet, Point3, apply_map,
+                     fibonacci_number)
 from fibspec import spectrum
 from fibspec.errors import BandIsolationError
 from fibspec.spectrum import band_hierarchy
@@ -146,9 +148,9 @@ def test_band_endpoints_solve_unit_half_trace():
 
 
 def test_cover_examples():
-    assert np.allclose(pairs(spectrum_cover(3.0, 0).cover), [[-2.0, 5.0]],
+    assert np.allclose(pairs(band_hierarchy(3.0, 1).cover(0)), [[-2.0, 5.0]],
                        atol=1e-10)
-    assert np.allclose(pairs(spectrum_cover(5.0, 0).cover),
+    assert np.allclose(pairs(band_hierarchy(5.0, 1).cover(0)),
                        [[-2.0, 2.0], [3.0, 7.0]], atol=1e-10)
 
 
@@ -157,12 +159,49 @@ def test_cover_refuses_negative_level(k):
     # k = -1 once indexed the hierarchy from the end and returned sigma_0
     # as both sigma_k and sigma_{k+1}
     with pytest.raises(ValueError, match="level must be >= 0"):
-        spectrum_cover(5.0, k)
+        band_hierarchy(5.0, 3).cover(k)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        band_hierarchy(5.0, k + 1).cover(k)  # the path of spectrum --k
+
+
+def test_hierarchy_survives_copy_and_pickle():
+    # the list band_hierarchy once returned could be copied and sent to a
+    # worker process; the tuple with its coupling must be too
+    hier = band_hierarchy(5.0, 9)
+    for twin in (copy.copy(hier), copy.deepcopy(hier),
+                 pickle.loads(pickle.dumps(hier))):
+        assert type(twin) is BandHierarchy
+        assert twin.lam == 5.0 and twin == hier
+        assert twin.ladder(8) == hier.ladder(8)
 
 
 def test_cover_length_decreases():
-    assert (spectrum_cover(5.0, 10).cover.total_length
-            < spectrum_cover(5.0, 8).cover.total_length)
+    hier = band_hierarchy(5.0, 11)
+    assert hier.cover(10).total_length < hier.cover(8).total_length
+
+
+def _outcome(method, *args):
+    """What a call returns, or the message of the ValueError it raises."""
+    try:
+        return method(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 5.0, 20.0])
+def test_covers_and_ladders_bit_identical_to_reference(lam):
+    """The hierarchy's levels, covers and ladders are the floats, and its
+    refusals the messages, of the stand-alone functions they replaced."""
+    k_max = 13
+    hier = band_hierarchy(lam, k_max)
+    assert isinstance(hier, BandHierarchy) and isinstance(hier, tuple)
+    assert hier.lam == lam and len(hier) == k_max + 1
+    assert list(hier) == [hier[j] for j in range(k_max + 1)]
+    for k in range(-1, k_max):
+        assert _outcome(lambda j: (hier[j], hier[j + 1], hier.cover(j)), k) == (
+            _outcome(oracles.spectrum_cover, lam, k))
+    for k in (0, 2, 3, 6, 9, 12):
+        assert _outcome(hier.ladder, k) == _outcome(oracles.cover_ladder, lam, k)
 
 
 def test_band_counts_match_dense_oracle():
@@ -183,7 +222,7 @@ def test_cover_contains_next_level_on_dense_grid(lam):
         x = oracles.unblocked_half_trace_on_grid(lam, E, k + 2)
     members = E[np.abs(x) <= 1.0]
     assert members.size > 0
-    cover = spectrum_cover(lam, k).cover.dilate(1e-9)  # endpoint tolerance
+    cover = band_hierarchy(lam, k + 1).cover(k).dilate(1e-9)  # endpoint tolerance
     assert np.all(cover.contains_points(members))
 
 
@@ -207,8 +246,8 @@ def test_cover_nesting():
     for lam in (2.0, 5.0):
         hier = band_hierarchy(lam, 9)
         for k in range(8):
-            outer = hier[k].union(hier[k + 1]).dilate(1e-9)
-            inner = hier[k + 1].union(hier[k + 2])
+            outer = hier.cover(k).dilate(1e-9)
+            inner = hier.cover(k + 1)
             assert oracles.covers(outer, inner)
 
 
@@ -284,8 +323,7 @@ def test_weak_coupling_answered_after_rescans():
 def test_scan_bit_identical_to_unblocked_scan(points, n_parents):
     """At 256 and 1024 points the 178 parents fill their last block only
     partly; at 16384 points every parent is a block of its own."""
-    hier = band_hierarchy(5.0, 11)
-    parents = hier[10].union(hier[11])
+    parents = band_hierarchy(5.0, 11).cover(10)
     parents = IntervalSet.from_arrays(parents.lo[:n_parents], parents.hi[:n_parents])
     if n_parents is None:
         assert len(parents) % (spectrum._BLOCK_POINTS // points) != 0

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fibspec import (IntervalSet, TheoremReport, box_dim_regression,
-                     check_theorem_rect, cover_ladder, ladder_dimension,
-                     minkowski_sum)
+                     check_theorem_rect, ladder_dimension, minkowski_sum)
 from fibspec import sumset
 from fibspec.errors import SizeCapError
 from fibspec.spectrum import band_hierarchy
@@ -91,7 +90,7 @@ def test_pair_cap():
 def test_cap_charges_the_pairs_a_sum_forms(monkeypatch):
     """A self-sum is charged its n(n+1)/2 unordered pairs, a sum of two
     sets len(a) * len(b), even when they are equal."""
-    cover = cover_ladder(5.0, 10)[1][-1]
+    cover = band_hierarchy(5.0, 11).cover(10)
     copy = IntervalSet.from_arrays(cover.lo, cover.hi)
     n = len(cover)
     monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n * (n + 1) // 2)
@@ -105,7 +104,7 @@ def test_sum_cover_levels_nest():
     hier = band_hierarchy(3.0, 10)
     prev = None
     for k in (7, 8, 9):
-        cov = hier[k].union(hier[k + 1])
+        cov = hier.cover(k)
         s = minkowski_sum(cov, cov)
         if prev is not None:
             assert oracles.covers(prev.dilate(1e-9), s)
@@ -175,16 +174,16 @@ def test_depth_preconditions():
 
 def test_cover_ladder_levels_and_covers():
     hier = band_hierarchy(5.0, 9)
-    levels, covers = cover_ladder(5.0, 8)
+    levels, covers = hier.ladder(8)
     assert levels == [5, 6, 7, 8]
-    assert covers == [hier[j].union(hier[j + 1]) for j in levels]
+    assert covers == [hier.cover(j) for j in levels]
     with pytest.raises(ValueError, match="need k >= 3"):
-        cover_ladder(5.0, 2)
+        hier.ladder(2)
 
 
 def test_cover_ladder_has_no_depth_ceiling():
     # the k > 16 refusal belongs to the sum check; dim uses deeper ladders
-    levels, covers = cover_ladder(5.0, 17)
+    levels, covers = band_hierarchy(5.0, 18).ladder(17)
     assert levels == [14, 15, 16, 17]
     assert len(covers) == 4
 
@@ -200,8 +199,7 @@ def test_equal_couplings_build_one_ladder(monkeypatch):
 
 
 def test_pair_cap_refused_before_any_sum(monkeypatch):
-    hier = band_hierarchy(8.0, 9)
-    n = len(hier[8].union(hier[9]))
+    n = len(band_hierarchy(8.0, 9).cover(8))
     n_pairs = n * (n + 1) // 2  # the finest self-sum's unordered pairs
     calls = []
     monkeypatch.setattr(sumset, "minkowski_sum",
@@ -218,7 +216,7 @@ def test_pair_cap_refused_before_any_sum(monkeypatch):
 
 
 def test_rect_pair_cap_charges_all_pairs(monkeypatch):
-    n_pairs = len(cover_ladder(8.0, 8)[1][-1]) * len(cover_ladder(9.0, 8)[1][-1])
+    n_pairs = len(band_hierarchy(8.0, 9).cover(8)) * len(band_hierarchy(9.0, 9).cover(8))
     monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n_pairs - 1)
     with pytest.raises(SizeCapError, match=f" {n_pairs} items"):
         check_theorem_rect(8.0, 9.0, 8)
@@ -258,8 +256,8 @@ def test_windowed_sum_matches_all_pairs(lam1, lam2, k, window, monkeypatch):
     if window is not None:
         k -= 4  # keep the number of tiny windows small
         monkeypatch.setattr(sumset, "_WINDOW_PAIRS", window)
-    covers1 = cover_ladder(lam1, k)[1]
-    covers2 = covers1 if lam2 == lam1 else cover_ladder(lam2, k)[1]
+    covers1 = band_hierarchy(lam1, k + 1).ladder(k)[1]
+    covers2 = covers1 if lam2 == lam1 else band_hierarchy(lam2, k + 1).ladder(k)[1]
     for c1, c2 in zip(covers1, covers2):
         assert_same_endpoints(minkowski_sum(c1, c2),
                               oracles.all_pairs_minkowski_sum(c1, c2))
@@ -333,7 +331,7 @@ def test_window_cut_is_exact():
 
 
 def test_self_sum_forms_each_unordered_pair_once(monkeypatch):
-    cover = cover_ladder(5.0, 10)[1][-1]
+    cover = band_hierarchy(5.0, 11).cover(10)
     copy = IntervalSet.from_arrays(cover.lo.copy(), cover.hi.copy())
     merged = []
     normalize = sumset._normalize
