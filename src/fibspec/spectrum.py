@@ -35,7 +35,7 @@ computation fails loudly.  c only chooses what to rescan: the count of
 the whole level is the certificate.
 
 One kernel, ``_half_trace``, evaluates x_k for the grid scan, the root
-bisection and the membership test alike.  It runs the recursion on the
+refinement and the membership test alike.  It runs the recursion on the
 traces t_j = 2 x_j, t_{j+1} = t_j * t_{j-1} - t_{j-2}, in place in four
 rows of scratch: two ufunc calls per step and no temporary.  It halves
 once at the end.  Scaling by 2 is exact in binary floating point, so each
@@ -43,9 +43,22 @@ x_k is bit-identical to the half-trace recursion above, barring overflow
 and results below the normal range.  The scan walks the
 parents in blocks of whole parents and about ``_BLOCK_POINTS`` grid
 points, so its memory does not grow with the number of parents or the
-grid density; every bracket found is bisected together afterwards.
-Blocking changes no float operation, so the bands are the same floats as
-those of a scan over one whole grid of the same per-parent sizes.
+grid density.  Blocking changes no float operation, so the bands are the
+same floats as those of a scan over one whole grid of the same
+per-parent sizes.
+
+x_k is strictly monotone on each band (Raymond), so each band endpoint
+is a simple root of x_k = +1 or x_k = -1.  The scan's brackets are
+refined about ``_BLOCK_POINTS`` at a time, each on its own: from the
+regula-falsi point by one Muller step, through that point and the two
+bracket ends whose values the scan holds, then by secant steps, inside
+the sign bracket, until the step is a few ulps.  Each root is then
+proved, by a sign change between it and the next float, where the root
+moves to the one of the two outside its band, or else by a sign change
+within tol/4 of it; a root that fails both is bisected to adjacent
+floats.  So every endpoint lies within tol/4 of a sign change of
+x_k -+ 1, most within one ulp, at about a fifth of the kernel calls
+that bisecting every bracket to ``tol`` took.
 
 ``band_hierarchy`` returns the levels as a ``BandHierarchy``: a tuple
 that also forms the two-level covers sigma_j | sigma_{j+1}, which contain
@@ -66,7 +79,10 @@ from .intervals import IntervalSet
 # _RUNGS[0]; a parent that comes up short climbs the rungs.
 _POINTS_PER_BAND = 16
 _RUNGS = (256, 1024, 4096, 16384)
-_BLOCK_POINTS = 16384  # grid points per block of the scan
+_BLOCK_POINTS = 16384  # grid points per block of the scan, and brackets refined together
+_STEP_ULPS = 4  # a root stops once its step is at most this times |root| * 2**-52
+_REFINE_PASSES = 12  # interpolation passes before a root is proved as it stands
+_MULLER_AGAIN = 3  # the pass from which Muller's steps replace secant steps
 
 LADDER_LEVELS = 4
 """Cover levels k-3 .. k enter the sum-dimension regression."""
@@ -160,51 +176,136 @@ def _half_trace(lam: float, E: np.ndarray, k: int) -> np.ndarray:
     return c
 
 
+def _parabola_step(x0, f0, x1, f1, x2, f2):
+    """x2 minus the root nearest x2 of the parabola through the three points
+    (Muller's method), with a negative discriminant taken as zero."""
+    d1 = (f1 - f0) / (x1 - x0)
+    h2 = x2 - x1
+    d2 = (f2 - f1) / h2
+    a = (d2 - d1) / (x2 - x0)
+    b = a * h2 + d2  # the parabola's slope at x2
+    disc = b * b - 4.0 * a * f2
+    np.fmax(disc, 0.0, out=disc)
+    np.sqrt(disc, out=disc)
+    b += np.copysign(disc, b)
+    return 2.0 * f2 / b
+
+
+def _refine_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
+                  xlo: np.ndarray, xhi: np.ndarray, shift: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Roots of x_k - shift in the sign-change brackets [lo, hi], each
+    bracket refined on its own.
+
+    ``xlo`` and ``xhi`` are x_k at the bracket ends, which the scan already
+    holds; ``shift`` is per bracket, so crossings of +1 and -1 refine
+    together.  Each root starts at the regula-falsi point.  Its first step
+    is Muller's, from the parabola through that point and both ends; secant
+    steps follow, and Muller's again from pass ``_MULLER_AGAIN`` on, for the
+    few roots that creep towards a near-tangency.  Every pass keeps the sign
+    bracket, and a step that would leave it bisects it instead.  A root
+    stops once its step is at most ``_STEP_ULPS`` * |root| * 2**-52, four
+    to eight ulps, or after ``_REFINE_PASSES`` passes, at its last point:
+    an end of its bracket.
+
+    One batched pass then evaluates x_k at the float next to each root,
+    towards the other end of its bracket.  Where the sign changes between
+    the two, the root becomes whichever of them lies outside the band: a
+    band keeps every float it holds, even a single one, and bands of two
+    levels that meet at a common root overlap in their union.  Elsewhere a
+    second pass proves a sign change within tol/4 of the root, inside its
+    bracket, and a root that fails that too is bisected from its bracket.
+    No root depends on which brackets are refined with it.
+    """
+    n = lo.size
+    pos = xlo > shift  # x_k - shift is positive on lo's side
+    roots, side = np.empty(n), np.empty(n, dtype=bool)  # side: the root is its bracket's lo
+    klo, khi = np.empty(n), np.empty(n)  # the brackets kept
+    glo, ghi = xlo - shift, xhi - shift
+    ulps = _STEP_ULPS * 2.0 ** -52
+    # a non-finite step fails the bracket test and bisects; a trace that
+    # overflows has the sign of its overflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = lo + glo / (glo - ghi) * (hi - lo)
+        np.clip(r, lo, hi, out=r)
+        a, b, sh, ps, idx = lo, hi, shift, pos, None
+        x0, f0, x1, f1 = lo, glo, hi, ghi
+        still = np.zeros(n, dtype=bool)
+        for p in range(_REFINE_PASSES):
+            g = _half_trace(lam, r, k) - sh
+            low = (g > 0) == ps
+            # r replaces the end on its side, exactly and without a branch
+            a = np.fmax(a, r - ~low * 1e308)
+            b = np.fmin(b, r + low * 1e308)
+            if p == 0 or p >= _MULLER_AGAIN:
+                step = _parabola_step(x0, f0, x1, f1, r, g)
+            else:
+                step = g * (r - x1) / (g - f1)
+            x0, f0, x1, f1 = x1, f1, r, g
+            still |= np.abs(step) <= np.abs(r) * ulps
+            n_still = np.count_nonzero(still)
+            if n_still == still.size or p == _REFINE_PASSES - 1:
+                break
+            np.copyto(step, 0.0, where=still)
+            r = r - step
+            np.copyto(r, 0.5 * (a + b), where=~((r >= a) & (r <= b)))
+            # set the stopped roots aside once half have stopped; until
+            # then evaluating them again costs less than gathering the rest
+            if 2 * n_still >= still.size:
+                j = np.flatnonzero(still)
+                i = j if idx is None else idx[j]
+                roots[i], side[i], klo[i], khi[i] = x1[j], low[j], a[j], b[j]
+                j = np.flatnonzero(~still)
+                idx = j if idx is None else idx[j]
+                r, x0, f0, x1, f1, a, b, sh, ps = (
+                    v[j] for v in (r, x0, f0, x1, f1, a, b, sh, ps))
+                still = np.zeros(j.size, dtype=bool)
+        i = slice(None) if idx is None else idx
+        roots[i], side[i], klo[i], khi[i] = x1, low, a, b
+
+    # the float next to each root, towards the other end of its bracket
+    away = side == (roots >= 0)  # towards the other end is away from zero
+    q = (roots.view(np.int64) + (2 * away.astype(np.int64) - 1)).view(np.float64)
+    q_side = (_half_trace(lam, q, k) > shift) == pos
+    found = (q_side != side) & (q >= klo) & (q <= khi)
+    band_lo = pos == (shift < 0)  # |x_k| <= 1 on lo's side
+    np.copyto(roots, q, where=found & (q_side != band_lo))
+    j = np.flatnonzero(~found)
+    if j.size:
+        r = roots[j]
+        ends = np.concatenate([np.maximum(r - tol / 4.0, klo[j]),
+                               np.minimum(r + tol / 4.0, khi[j])])
+        s = (_half_trace(lam, ends, k).reshape(2, j.size) > shift[j]) == pos[j]
+        j = j[~(s[0] & ~s[1])]
+        if j.size:
+            roots[j] = _bisect_roots(lam, k, klo[j], khi[j], pos[j], shift[j], tol)
+    return roots
+
+
 def _bisect_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
                   glo_pos: np.ndarray, shift: np.ndarray, tol: float) -> np.ndarray:
-    """Refine sign-change brackets of x_k - shift by simultaneous bisection.
+    """Bisect sign-change brackets of x_k - shift until their ends are
+    adjacent floats, and return the end of each outside the band.
 
-    ``shift`` is per-bracket, so crossings of +1 and -1 refine together.
-    Each pass moves lo or hi to the midpoint with a branch-free select on
-    the endpoints' int64 bit patterns, in scratch reused across passes; it
-    copies the same bits as ``np.where`` would.  Raises ValueError if a
-    bracket is still wider than ``tol`` when the passes run out: a bracket
-    one float spacing wide cannot be halved.
+    ``glo_pos`` says whether x_k > shift at lo.  Raises ValueError if a
+    bracket is still wider than ``tol``: one float spacing cannot be halved.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    mid = np.empty_like(lo)
-    width = np.empty_like(lo)
-    same = np.empty(lo.size, dtype=bool)
-    mask = np.empty(lo.size, dtype=np.int64)
-    flip = np.empty(lo.size, dtype=np.int64)
-    lo_bits, hi_bits, mid_bits = lo.view(np.int64), hi.view(np.int64), mid.view(np.int64)
-    # Bracket widths shrink by half each pass down to one float spacing.
-    # band_hierarchy refuses a tol below the spacing of its energy window,
-    # and a bracket no wider than that window, 2 * (lam + 3), is below
-    # 2**54 of its spacings, so 64 passes always reach tol there.
+    lo, hi = lo.copy(), hi.copy()
+    # a bracket no wider than the window, 2 * (lam + 3), spans fewer than
+    # 2**54 of its floats, so 64 halvings always reach adjacent ones
     for _ in range(64):
-        np.subtract(hi, lo, out=width)
-        if np.all(width <= tol):
+        mid = 0.5 * (lo + hi)
+        wide = (mid > lo) & (mid < hi)
+        if not wide.any():
             break
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.greater(_half_trace(lam, mid, k), shift, out=same)
-        np.equal(same, glo_pos, out=same)
-        # mask is all ones where x_k(mid) sits on lo's side, else zero:
-        # there lo takes mid's bits, elsewhere hi does
-        np.negative(same.view(np.int8), out=mask)
-        np.bitwise_xor(lo_bits, mid_bits, out=flip)
-        flip &= mask
-        lo_bits ^= flip
-        np.bitwise_xor(hi_bits, mid_bits, out=flip)
-        flip &= mask
-        np.bitwise_xor(mid_bits, flip, out=hi_bits)
+        low = (_half_trace(lam, mid, k) > shift) == glo_pos
+        np.copyto(lo, mid, where=low & wide)
+        np.copyto(hi, mid, where=~low & wide)
     width = float(np.max(hi - lo, initial=0.0))
     if width > tol:
         raise ValueError(f"bisection stopped at bracket width {width:.3g}, "
                          f"above the tolerance {tol:.3g}")
-    return 0.5 * (lo + hi)
+    return np.where(glo_pos == (shift < 0), hi, lo)
 
 
 def _scan_parents(lam: float, k: int, parents: IntervalSet,
@@ -213,10 +314,11 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
 
     Scans a uniform local grid per parent for sign changes of
     x_k -(+1) and x_k -(-1), a block of whole parents and about
-    ``_BLOCK_POINTS`` grid points at a time, bisects every bracket (all
-    parents at once), then classifies the gaps between consecutive
-    certified roots by a midpoint membership test.  ``points`` is one
-    grid size for every parent or one per parent; parent p's grid is
+    ``_BLOCK_POINTS`` grid points at a time, refines the root in every
+    bracket (about ``_BLOCK_POINTS`` brackets at a time, each on its own),
+    then classifies the gaps between consecutive certified roots by a
+    midpoint membership test.  ``points`` is one grid size for every
+    parent or one per parent; parent p's grid is
     lo_p + width_p * np.linspace(0, 1, points[p]) in whichever block it
     falls.  Bands are clipped to their parent, which is harmless: the
     covering property puts every true band inside some parent.
@@ -229,8 +331,10 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
     ends = np.cumsum(points)  # the ragged grid's offset just past each parent
     starts = ends - points
 
-    # Collect sign-change brackets for both target levels, block by block.
-    blo, bhi, bpos, bshift, bparent = [], [], [], [], []
+    # Collect sign-change brackets for both target levels, block by block,
+    # and refine them once about _BLOCK_POINTS of them are pending.
+    pending, roots, rparent = [], [], []
+    n_pending = 0
     p0 = 0
     while p0 < n_par:
         p1 = max(p0 + 1, int(np.searchsorted(ends, starts[p0] + _BLOCK_POINTS, "right")))
@@ -250,16 +354,18 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
             flip[last[:-1]] = False  # no bracket across the seam of two parents
             j = np.flatnonzero(flip)
             if j.size:
-                blo.append(grid[j])
-                bhi.append(grid[j + 1])
-                bpos.append(gp[j])
-                bshift.append(np.full(j.size, shift))
-                bparent.append(owner[j] + p0)
+                pending.append((grid[j], grid[j + 1], vals[j], vals[j + 1],
+                                np.full(j.size, shift)))
+                rparent.append(owner[j] + p0)
+                n_pending += j.size
         p0 = p1
-    if blo:
-        roots = _bisect_roots(lam, k, np.concatenate(blo), np.concatenate(bhi),
-                              np.concatenate(bpos), np.concatenate(bshift), tol)
-        rparent = np.concatenate(bparent)
+        if n_pending >= _BLOCK_POINTS or (p0 == n_par and n_pending):
+            brackets = [np.concatenate(b) for b in zip(*pending)]
+            roots.append(_refine_roots(lam, k, *brackets, tol))
+            pending, n_pending = [], 0
+    if roots:
+        roots = np.concatenate(roots)
+        rparent = np.concatenate(rparent)
         order = np.lexsort((roots, rparent))
         roots = roots[order]
         rparent = rparent[order]

@@ -146,8 +146,10 @@ def plain_count_below(diagonal: np.ndarray, t) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # The band scan as it stood before it was cut into blocks: one grid of
-# parents x points, and a fresh temporary for every recursion step.  The
-# library's blocked scan must return the same bands, bit for bit.
+# parents x points, and a fresh temporary for every recursion step.  Given
+# the library's root refinement, the library's blocked scan must return
+# the same bands, bit for bit.  By default the brackets are bisected as
+# they were before roots were refined one by one.
 # ----------------------------------------------------------------------
 
 def unblocked_half_trace_on_grid(lam: float, E: np.ndarray, k: int) -> np.ndarray:
@@ -186,15 +188,22 @@ def unblocked_bisect_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
     return 0.5 * (lo + hi)
 
 
+def where_bisect_refine(lam, k, lo, hi, xlo, xhi, shift, tol):
+    """``unblocked_bisect_roots`` behind the library's refinement signature."""
+    return unblocked_bisect_roots(lam, k, lo, hi, xlo > shift, shift, tol)
+
+
 def unblocked_scan_parents(lam: float, k: int, parents: IntervalSet,
-                           points: int, tol: float) -> IntervalSet:
+                           points: int, tol: float,
+                           refine=where_bisect_refine) -> IntervalSet:
     """Locate the bands of sigma_k inside each parent interval.
 
     Scans a uniform local grid per parent for sign changes of
-    x_k -(+1) and x_k -(-1), bisects every bracket (all parents at once),
-    then classifies the gaps between consecutive certified roots by a
-    midpoint membership test.  Bands are clipped to their parent, which
-    is harmless: the covering property puts every true band inside some
+    x_k -(+1) and x_k -(-1), refines every bracket (all parents at once)
+    with ``refine(lam, k, lo, hi, x_lo, x_hi, shift, tol)``, then
+    classifies the gaps between consecutive certified roots by a midpoint
+    membership test.  Bands are clipped to their parent, which is
+    harmless: the covering property puts every true band inside some
     parent.
     """
     n_par = len(parents)
@@ -205,19 +214,21 @@ def unblocked_scan_parents(lam: float, k: int, parents: IntervalSet,
     vals = unblocked_half_trace_on_grid(lam, grid.ravel(), k).reshape(n_par, points)
 
     # Collect sign-change brackets for both target levels across all parents.
-    blo, bhi, bpos, bshift, bparent = [], [], [], [], []
+    blo, bhi, bxlo, bxhi, bshift, bparent = [], [], [], [], [], []
     for shift in (1.0, -1.0):
         gp = vals > shift
         flip_p, flip_j = np.nonzero(gp[:, :-1] != gp[:, 1:])
         if flip_p.size:
             blo.append(grid[flip_p, flip_j])
             bhi.append(grid[flip_p, flip_j + 1])
-            bpos.append(gp[flip_p, flip_j])
+            bxlo.append(vals[flip_p, flip_j])
+            bxhi.append(vals[flip_p, flip_j + 1])
             bshift.append(np.full(flip_p.size, shift))
             bparent.append(flip_p)
     if blo:
-        roots = unblocked_bisect_roots(lam, k, np.concatenate(blo), np.concatenate(bhi),
-                                       np.concatenate(bpos), np.concatenate(bshift), tol)
+        roots = refine(lam, k, np.concatenate(blo), np.concatenate(bhi),
+                       np.concatenate(bxlo), np.concatenate(bxhi),
+                       np.concatenate(bshift), tol)
         rparent = np.concatenate(bparent)
         order = np.lexsort((roots, rparent))
         roots = roots[order]

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -94,28 +95,44 @@ def test_trace_kernel_bit_identical_to_half_trace_recursion(lam):
 
 
 @pytest.mark.parametrize("lam", [0.05, 2.0, 5.0, 20.0])
-def test_bisection_bit_identical_to_where_bisection(lam):
+def test_refinement_within_half_tol_of_where_bisection(lam):
     """Seeded random brackets, across the window at level 8 and around the
-    band endpoints at level 16, with shifts +1 and -1 mixed and either
-    sign at lo: the bit-select bisection returns the floats that np.where
-    does, and leaves its arguments alone."""
+    band endpoints at level 16, with shifts +1 and -1 mixed; those that
+    hold a sign change of x_k - shift are refined.  Each root shows that
+    sign change, oriented as its bracket's, within tol/4 on either side
+    inside the bracket, and the arguments are left alone.  Where sigma_k
+    puts a single endpoint in the bracket, so that it holds one crossing,
+    the root is within tol/2 of the one np.where bisection returns."""
+    tol = 1e-12
     rng = np.random.default_rng(13)
-    sigma16 = band_hierarchy(lam, 16)[16]
-    ends16 = np.concatenate([sigma16.lo, sigma16.hi])
+    hier = band_hierarchy(lam, 16)
+    ends16 = np.concatenate([hier[16].lo, hier[16].hi])
     n = 3000
     cases = [(8, rng.uniform(-lam - 3.0, lam + 3.0, n), 10.0 ** rng.uniform(-12, 0, n)),
              (16, rng.choice(ends16, n), 10.0 ** rng.uniform(-12, -6, n))]
+    singles = 0
     for k, centre, width in cases:
         lo = centre - width * rng.uniform(0.0, 1.0, n)
         hi = lo + width
-        glo_pos = rng.random(n) < 0.5
+        rng.random(n)  # the draw that once chose the sign at lo
         shift = rng.choice([1.0, -1.0], n)
-        args = (lo, hi, glo_pos, shift)
+        xlo, xhi = half_trace(lam, lo, k), half_trace(lam, hi, k)
+        held = (xlo > shift) != (xhi > shift)
+        args = [a[held] for a in (lo, hi, xlo, xhi, shift)]
         before = [a.copy() for a in args]
-        got = spectrum._bisect_roots(lam, k, *args, 1e-12)
-        want = oracles.unblocked_bisect_roots(lam, k, *args, 1e-12)
-        assert np.array_equal(got, want)
+        got = spectrum._refine_roots(lam, k, *args, tol)
         assert all(np.array_equal(a, b) for a, b in zip(args, before))
+        lo, hi, xlo, _, shift = args
+        pos = xlo > shift
+        below = half_trace(lam, np.maximum(got - tol / 4, lo), k) > shift
+        above = half_trace(lam, np.minimum(got + tol / 4, hi), k) > shift
+        assert np.all((below == pos) & (above != pos))
+        ends = np.sort(np.concatenate([hier[k].lo, hier[k].hi]))
+        single = np.searchsorted(ends, hi + tol) - np.searchsorted(ends, lo - tol) == 1
+        want = oracles.unblocked_bisect_roots(lam, k, lo, hi, pos, shift, tol)
+        assert np.all(np.abs(got - want)[single] <= tol / 2)
+        singles += np.count_nonzero(single)
+    assert singles > 0
 
 
 def test_recursion_is_the_map_on_the_line():
@@ -295,20 +312,82 @@ def test_bands_per_parent_equal_merged_count(lam):
         assert np.array_equal(per_parent(levels[k].lo), merged), k
 
 
-@pytest.mark.parametrize("lam, k, limit", [(5.0, 20, 1_600_000), (0.05, 20, 10_000_000)])
-def test_half_trace_evaluations_bounded(lam, k, limit, monkeypatch):
-    """x_k point evaluations per hierarchy; the uniform 256-point scan
-    made 6,240,342 at (5, 20) and 48,008,889 at (0.05, 20)."""
-    evaluations = []
-    kernel = spectrum._half_trace
+def count_kernel_calls(monkeypatch):
+    """Patch the kernel to log the size of every call, and the refinement
+    to mark the calls made inside it; returns the log of (size, refining)."""
+    log, refining = [], [False]
+    kernel, refine = spectrum._half_trace, spectrum._refine_roots
 
-    def counted(lam, E, k):
-        evaluations.append(E.size)
-        return kernel(lam, E, k)
+    def counted(*args, **kwargs):
+        log.append((args[1].size, refining[0]))
+        return kernel(*args, **kwargs)
+
+    def marked(*args):
+        refining[0] = True
+        try:
+            return refine(*args)
+        finally:
+            refining[0] = False
 
     monkeypatch.setattr(spectrum, "_half_trace", counted)
+    monkeypatch.setattr(spectrum, "_refine_roots", marked)
+    return log
+
+
+@pytest.mark.parametrize("lam, k, limit", [(5.0, 20, 1_600_000), (0.05, 20, 10_000_000)])
+def test_half_trace_evaluations_bounded(lam, k, limit, monkeypatch):
+    """x_k point evaluations per hierarchy, refinement included; the
+    uniform 256-point scan made 6,240,342 at (5, 20) and 48,008,889 at
+    (0.05, 20)."""
+    log = count_kernel_calls(monkeypatch)
     assert len(band_hierarchy(lam, k)[k]) == fibonacci_number(k)
-    assert sum(evaluations) <= limit
+    assert sum(size for size, _ in log) <= limit
+
+
+@pytest.mark.parametrize("lam, k, limit", [(5.0, 20, 945_000), (0.05, 20, 7_250_000)])
+def test_half_trace_evaluations_below_bisection(lam, k, limit, monkeypatch):
+    """The same count held to the refined totals with the same relative
+    margin; bisecting every bracket to tol made 1,297,542 at (5, 20) and
+    8,635,188 at (0.05, 20)."""
+    log = count_kernel_calls(monkeypatch)
+    assert len(band_hierarchy(lam, k)[k]) == fibonacci_number(k)
+    assert sum(size for size, _ in log) <= limit
+
+
+def test_refinement_kernel_calls_a_quarter_of_bisection(monkeypatch):
+    """Bisecting every bracket of a level until the widest was below tol
+    took 550 kernel calls at (5, 20); refining each bracket on its own
+    takes at most a quarter of that."""
+    log = count_kernel_calls(monkeypatch)
+    band_hierarchy(5.0, 20)
+    assert sum(refining for _, refining in log) <= 550 // 4
+
+
+@pytest.mark.parametrize("lam, k, bisection_calls", [
+    (0.04, 20, 2581), (0.05, 20, 2666), (0.015, 9, 1020)])
+def test_weak_coupling_refined_quietly_and_no_slower(lam, k, bisection_calls, monkeypatch):
+    """Near-tangent crossings at weak coupling converge slowly; every step
+    stays finite or is caught, nothing overflows into a warning, and the
+    hierarchy makes no more kernel calls than it did when every bracket
+    was bisected to tol (the counts pinned here)."""
+    log = count_kernel_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(band_hierarchy(lam, k)[k]) == fibonacci_number(k)
+    assert len(log) <= bisection_calls
+
+
+def test_refinement_memory_stays_below_global_bisection():
+    """The brackets of level 21 at (5, 21), 35,422 of them, are refined in
+    blocks; bisecting them all at once peaked at 7.62 MB traced."""
+    band_hierarchy(5.0, 6)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        band_hierarchy(5.0, 21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.6 * 2**20
 
 
 def test_weak_coupling_answered_after_rescans():
@@ -322,13 +401,16 @@ def test_weak_coupling_answered_after_rescans():
 @pytest.mark.parametrize("points, n_parents", [(256, None), (1024, None), (16384, 3)])
 def test_scan_bit_identical_to_unblocked_scan(points, n_parents):
     """At 256 and 1024 points the 178 parents fill their last block only
-    partly; at 16384 points every parent is a block of its own."""
+    partly; at 16384 points every parent is a block of its own.  Both
+    scans refine their brackets with the library's refinement, which
+    handles each bracket alone, so blocks change no float."""
     parents = band_hierarchy(5.0, 11).cover(10)
     parents = IntervalSet.from_arrays(parents.lo[:n_parents], parents.hi[:n_parents])
     if n_parents is None:
         assert len(parents) % (spectrum._BLOCK_POINTS // points) != 0
     got = spectrum._scan_parents(5.0, 12, parents, points, 1e-12)
-    want = oracles.unblocked_scan_parents(5.0, 12, parents, points, 1e-12)
+    want = oracles.unblocked_scan_parents(5.0, 12, parents, points, 1e-12,
+                                          refine=spectrum._refine_roots)
     assert len(got) > 0
     assert np.array_equal(got.lo, want.lo)
     assert np.array_equal(got.hi, want.hi)
@@ -377,8 +459,52 @@ def test_tol_above_float_spacing_answered_at_strong_coupling():
 
 
 def test_bisection_refuses_to_stop_short_of_tol():
+    """A bracket one ulp wide, whose ends claim a sign change that x_3 does
+    not have, fails both proofs; the bisection it falls back to cannot
+    shrink it below a tolerance finer than the ulp."""
     lo = np.array([1.0])
-    hi = np.nextafter(lo, 2.0)  # one ulp: bisection cannot shrink it
+    hi = np.nextafter(lo, 2.0)
+    assert np.all(half_trace(5.0, np.concatenate([lo, hi]), 3) > 11.0)
     with pytest.raises(ValueError, match="above the tolerance"):
-        spectrum._bisect_roots(5.0, 3, lo, hi, np.array([True]), np.array([1.0]),
-                               1e-17)
+        spectrum._refine_roots(5.0, 3, lo, hi, np.array([2.0]), np.array([0.0]),
+                               np.array([1.0]), 1e-17)
+
+
+# ----------------------------------------------------------------------
+# The certificate of each endpoint
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("lam, k, residual", [(5.0, 16, 1e-6), (20.0, 16, 0.05), (0.5, 18, 5e-9)])
+def test_endpoints_show_a_sign_change_within_quarter_tol(lam, k, residual):
+    """x_k crosses +1 or -1 between e - tol/4 and e + tol/4 for every band
+    endpoint e: from beyond the level outside the band to its other side,
+    which for a band narrower than tol/4 may lie past the band's far end.
+    Each | |x_k(e)| - 1 | stays below ``residual``; bisection to tol left
+    3.9e-6, 0.179 and 1.1e-8, and at (0.5, 18) some endpoints showed no
+    sign change within tol/4."""
+    tol = 1e-12
+    s = band_hierarchy(lam, k)[k]
+    for end, outward in ((s.lo, -1.0), (s.hi, 1.0)):
+        out = half_trace(lam, end + outward * tol / 4, k)
+        inn = half_trace(lam, end - outward * tol / 4, k)
+        level = np.sign(out)
+        assert np.all(np.abs(out) > 1.0)
+        assert np.all((out > level) != (inn > level))
+        assert np.max(np.abs(np.abs(half_trace(lam, end, k)) - 1.0)) < residual
+
+
+def test_strong_coupling_keeps_every_band():
+    """At coupling 20 every one of the 2,584 bands of level 17 is narrower
+    than tol; bisecting each bracket only to tol lost 50 of them."""
+    levels = band_hierarchy(20.0, 17)
+    assert [len(s) for s in levels] == [fibonacci_number(k) for k in range(18)]
+
+
+def test_precision_floor_refusal_at_coupling_20():
+    """Level 19 at coupling 20 has bands below the float spacing, so its
+    count is refused; the roots found to the last ulp now isolate 6,084
+    of its 6,765 bands, against 5,437 when every bracket was bisected."""
+    with pytest.raises(BandIsolationError) as info:
+        band_hierarchy(20.0, 19)
+    err = info.value
+    assert (err.level, err.found, err.expected) == (19, 6084, 6765)
