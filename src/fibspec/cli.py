@@ -25,7 +25,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -395,6 +394,8 @@ def _sweep_payload(swept_command: str, start: float, stop: float, count: int,
     if workers == 1:
         outputs = [_sweep_worker(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_sweep_worker, tasks))
     caveats: list[str] = []

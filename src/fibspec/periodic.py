@@ -212,6 +212,8 @@ def scan_exceptional(a_min: float, a_max: float, grid: int, qmax: int,
         raise ValueError("grid must have at least 2 points")
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     flagged: list[tuple[float, Fraction]] = []
     for a in np.linspace(a_min, a_max, grid):
         ratio = log_ratio(float(a))

@@ -71,7 +71,7 @@ import math
 
 import numpy as np
 
-from .errors import BandIsolationError
+from .errors import BandIsolationError, SizeCapError
 from .intervals import IntervalSet
 
 # Local scan resolution per parent band: a parent first gets
@@ -83,6 +83,7 @@ _BLOCK_POINTS = 16384  # grid points per block of the scan, and brackets refined
 _STEP_ULPS = 4  # a root stops once its step is at most this times |root| * 2**-52
 _REFINE_PASSES = 12  # interpolation passes before a root is proved as it stands
 _MULLER_AGAIN = 3  # the pass from which Muller's steps replace secant steps
+_MAX_LEVEL = 30  # deepest level built; time and memory grow about 1.6x per level
 
 LADDER_LEVELS = 4
 """Cover levels k-3 .. k enter the sum-dimension regression."""
@@ -314,18 +315,21 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
 
     Scans a uniform local grid per parent for sign changes of
     x_k -(+1) and x_k -(-1), a block of whole parents and about
-    ``_BLOCK_POINTS`` grid points at a time, refines the root in every
-    bracket (about ``_BLOCK_POINTS`` brackets at a time, each on its own),
-    then classifies the gaps between consecutive certified roots by a
-    midpoint membership test.  ``points`` is one grid size for every
-    parent or one per parent; parent p's grid is
-    lo_p + width_p * np.linspace(0, 1, points[p]) in whichever block it
-    falls.  Bands are clipped to their parent, which is harmless: the
+    ``_BLOCK_POINTS`` grid points at a time, and refines the root in every
+    bracket (about ``_BLOCK_POINTS`` brackets at a time, each on its own).
+    ``points`` is one grid size for every parent or one per parent; parent
+    p's grid is lo_p + width_p * np.linspace(0, 1, points[p]) in whichever
+    block it falls.
+
+    One sort of every parent end and every root cuts the line into cells.
+    A cell that ends past the hi of the parent it starts in is a gap
+    between parents, however narrow, and is dropped; the others are kept
+    where x_k at their midpoint has |x_k| <= 1, and touching cells merge
+    into bands, so a root that merely grazes +-1 inside a band splits
+    nothing.  Bands are clipped to their parent, which is harmless: the
     covering property puts every true band inside some parent.
     """
     n_par = len(parents)
-    if n_par == 0:
-        return IntervalSet()
     points = np.broadcast_to(np.asarray(points, dtype=np.int64), (n_par,))
     widths = parents.hi - parents.lo
     ends = np.cumsum(points)  # the ragged grid's offset just past each parent
@@ -333,7 +337,7 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
 
     # Collect sign-change brackets for both target levels, block by block,
     # and refine them once about _BLOCK_POINTS of them are pending.
-    pending, roots, rparent = [], [], []
+    pending, roots = [], []
     n_pending = 0
     p0 = 0
     while p0 < n_par:
@@ -356,52 +360,19 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
             if j.size:
                 pending.append((grid[j], grid[j + 1], vals[j], vals[j + 1],
                                 np.full(j.size, shift)))
-                rparent.append(owner[j] + p0)
                 n_pending += j.size
         p0 = p1
         if n_pending >= _BLOCK_POINTS or (p0 == n_par and n_pending):
             brackets = [np.concatenate(b) for b in zip(*pending)]
             roots.append(_refine_roots(lam, k, *brackets, tol))
             pending, n_pending = [], 0
-    if roots:
-        roots = np.concatenate(roots)
-        rparent = np.concatenate(rparent)
-        order = np.lexsort((roots, rparent))
-        roots = roots[order]
-        rparent = rparent[order]
-    else:
-        roots = np.empty(0)
-        rparent = np.empty(0, dtype=int)
 
-    # Cut every parent at its roots and test one midpoint per cell.
-    counts = np.bincount(rparent, minlength=n_par)
-    n_cuts = counts + 2
-    offsets = np.concatenate([[0], np.cumsum(n_cuts)])
-    cuts = np.empty(int(offsets[-1]))
-    cuts[offsets[:-1]] = parents.lo
-    cuts[offsets[1:] - 1] = parents.hi
-    if roots.size:
-        root_slots = np.arange(roots.size) - np.concatenate([[0], np.cumsum(counts)])[rparent]
-        cuts[offsets[rparent] + 1 + root_slots] = roots
-    cell_valid = np.ones(cuts.size - 1, dtype=bool)
-    cell_valid[offsets[1:-1] - 1] = False  # drop inter-parent seams
-    mids = (0.5 * (cuts[:-1] + cuts[1:]))[cell_valid]
-    inside = np.zeros(cuts.size - 1, dtype=bool)
-    x_mids = _half_trace(lam, mids, k)
-    inside[cell_valid] = np.abs(x_mids) <= 1.0
-
-    if not inside.any():
-        return IntervalSet()
-    # Merge consecutive member cells (a root that merely grazes +-1 inside
-    # a band splits nothing; parent seams are never members).
-    d = np.diff(inside.astype(np.int8))
-    starts = np.flatnonzero(d == 1) + 1
-    ends = np.flatnonzero(d == -1) + 1
-    if inside[0]:
-        starts = np.concatenate([[0], starts])
-    if inside[-1]:
-        ends = np.concatenate([ends, [inside.size]])
-    return IntervalSet.from_arrays(cuts[starts], cuts[ends])
+    cuts = np.sort(np.concatenate([parents.lo, *roots, parents.hi]))
+    lo, hi = cuts[:-1], cuts[1:]
+    cell = hi <= parents.hi[np.searchsorted(parents.lo, lo, "right") - 1]
+    inside = np.zeros(lo.size, dtype=bool)
+    inside[cell] = np.abs(_half_trace(lam, 0.5 * (lo[cell] + hi[cell]), k)) <= 1.0
+    return IntervalSet.from_arrays(lo[inside], hi[inside])
 
 
 def _level_bands(lam: float, k: int, parents: IntervalSet,
@@ -441,7 +412,8 @@ def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> BandHierarchy:
     Levels 0 and 1 are isolated from a scan of the operator-norm window
     [-2 - lam, 2 + lam] (padded so boundary roots produce sign changes);
     every later level is isolated inside the merged bands of the two
-    levels before it.
+    levels before it.  Raises SizeCapError, before any scan, when
+    ``k_max`` is past ``_MAX_LEVEL``.
     """
     if lam <= 0:
         raise ValueError("coupling must be > 0 for spectral band computation")
@@ -455,6 +427,8 @@ def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> BandHierarchy:
     if tol < spacing:
         raise ValueError(f"tolerance {tol:.3g} is below the float spacing "
                          f"{spacing:.3g} of energies near {lam + 3.0:g}")
+    if k_max > _MAX_LEVEL:
+        raise SizeCapError("band hierarchy levels", k_max + 1, _MAX_LEVEL + 1)
     window = IntervalSet([(-2.0 - lam - 1.0, 2.0 + lam + 1.0)])
     levels: list[IntervalSet] = []
     for k in range(min(k_max, 1) + 1):

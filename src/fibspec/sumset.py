@@ -220,9 +220,8 @@ def _factor_report(covers: list[IntervalSet], which: str,
 def check_theorem_rect(lambda1: float, lambda2: float, k: int,
                        tol: float = 1e-12) -> TheoremReport:
     """Compare dim(cover(lambda1,k) + cover(lambda2,k)) with
-    min(d1 + d2, 1) over cover levels k-3 .. k."""
-    if k > 16:
-        raise ValueError("cover depth k > 16 is beyond the supported range")
+    min(d1 + d2, 1) over cover levels k-3 .. k.  Depth is bounded only
+    by SUM_PAIR_CAP, charged before any sum is formed."""
     levels, covers1 = band_hierarchy(lambda1, k + 1, tol).ladder(k)
     covers2 = (covers1 if lambda2 == lambda1
                else band_hierarchy(lambda2, k + 1, tol).ladder(k)[1])

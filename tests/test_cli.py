@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibspec import cli, hamiltonian
+from fibspec import cli, hamiltonian, periodic, spectrum
 from fibspec.errors import BandIsolationError
 from fibspec.sumset import CROSS_CHECK_TOL
 
@@ -128,6 +129,19 @@ def test_periodic_scan_refuses_non_finite_a_max(a_max, capsys):
                             f"must be finite and >= 0, got {a_max}\n")
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_periodic_scan_tol_validated_up_front(tol, monkeypatch, capsys):
+    # -1 once flagged nothing and exited 0; nan and inf ran the whole scan
+    def no_scan(a):
+        raise AssertionError("scanned")
+    monkeypatch.setattr(periodic, "log_ratio", no_scan)
+    assert cli.main(["periodic", "--scan", "0", "1", "--scan-tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fibspec: invalid arguments: tolerance must be "
+                            f"finite and >= 0, got {float(tol)}\n")
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 @pytest.mark.parametrize("argv", [
     ["oracle", "--lambda", "5", "--n", "8"],
@@ -176,6 +190,33 @@ def test_strong_coupling_sum_at_depth_16_answered(capsys):
     doc = json.loads(out)
     assert doc["result"]["levels"] == [13, 14, 15, 16]
     assert doc["result"]["sum_cover"]["count"] > 10_000
+
+
+def test_sum_depth_bounded_by_the_pair_cap_alone(capsys):
+    """No depth ceiling: at lambda = 1, k = 18 the finest self-sum forms
+    6,699,630 pairs into one interval; at lambda = 5, k = 17 it would form
+    13,356,696, over the cap."""
+    code, out = run(["sum", "--lambda", "1", "--k", "18"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["levels"] == [15, 16, 17, 18]
+    assert doc["result"]["sum_cover"]["count"] == 1
+    assert cli.main(["sum", "--lambda", "5", "--k", "17"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fibspec: size cap exceeded: pairwise interval "
+                            "sums: 13356696 items exceeds cap 10000000\n")
+
+
+def test_too_deep_spectrum_exits_three(monkeypatch, capsys):
+    def no_scan(*args):
+        raise AssertionError("scanned")
+    monkeypatch.setattr(spectrum, "_half_trace", no_scan)
+    assert cli.main(["spectrum", "--lambda", "0.5", "--k", "40"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fibspec: size cap exceeded: band hierarchy "
+                            "levels: 42 items exceeds cap 31\n")
 
 
 def test_csv_for_interval_commands(capsys):
@@ -435,7 +476,7 @@ class _SerialPool:
     (None, 6, 4, None),  # no --jobs: serial
 ])
 def test_sweep_workers_capped(jobs, count, cpus, workers, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "requested", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     base = ["sweep", "--command", "periodic", "--start", "0.1", "--stop",
@@ -620,3 +661,15 @@ def test_python_dash_m_runs_the_cli(capsys):
                           env={**os.environ, "PYTHONPATH": str(src)})
     code, out = run(argv, capsys)
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only a sweep with more than one worker needs the process pool, so
+    importing the CLI must not pay for multiprocessing."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, fibspec.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

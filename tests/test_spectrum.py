@@ -9,7 +9,7 @@ import pytest
 from fibspec import (BandHierarchy, IntervalSet, Point3, apply_map,
                      fibonacci_number)
 from fibspec import spectrum
-from fibspec.errors import BandIsolationError
+from fibspec.errors import BandIsolationError, SizeCapError
 from fibspec.spectrum import band_hierarchy
 
 import oracles
@@ -243,6 +243,21 @@ def test_cover_contains_next_level_on_dense_grid(lam):
     assert np.all(cover.contains_points(members))
 
 
+def test_too_deep_hierarchy_refused_before_any_scan(monkeypatch):
+    """Time and memory grow about 1.6x per level, so a hierarchy past
+    ``_MAX_LEVEL`` is refused up front; the deepest one allowed scans."""
+    def no_scan(*args):
+        raise AssertionError("scanned")
+    monkeypatch.setattr(spectrum, "_half_trace", no_scan)
+    assert spectrum._MAX_LEVEL == 30
+    with pytest.raises(SizeCapError, match="levels: 41 items exceeds cap 31"):
+        band_hierarchy(0.5, 40)
+    with pytest.raises(SizeCapError, match="levels: 32 items"):
+        band_hierarchy(0.5, 31)
+    with pytest.raises(AssertionError, match="scanned"):
+        band_hierarchy(0.5, 30)
+
+
 def test_weak_coupling_refused_when_gaps_outrun_the_grid():
     # level 7 at coupling 0.01 has a gap narrower than the finest scan
     with pytest.raises(BandIsolationError) as info:
@@ -398,22 +413,80 @@ def test_weak_coupling_answered_after_rescans():
     assert len(band_hierarchy(0.015, 9)[9]) == fibonacci_number(9)
 
 
-@pytest.mark.parametrize("points, n_parents", [(256, None), (1024, None), (16384, 3)])
-def test_scan_bit_identical_to_unblocked_scan(points, n_parents):
-    """At 256 and 1024 points the 178 parents fill their last block only
-    partly; at 16384 points every parent is a block of its own.  Both
-    scans refine their brackets with the library's refinement, which
-    handles each bracket alone, so blocks change no float."""
-    parents = band_hierarchy(5.0, 11).cover(10)
-    parents = IntervalSet.from_arrays(parents.lo[:n_parents], parents.hi[:n_parents])
-    if n_parents is None:
-        assert len(parents) % (spectrum._BLOCK_POINTS // points) != 0
+def _edge_parents(case):
+    """Hand-built parent sets at the edges of the scan's cell rule, each
+    holding bands of sigma_12 at coupling 5."""
+    if case == "straddles-zero":
+        assert -0.5 + (0.3 + 0.5) == 0.30000000000000004  # last grid point past hi
+        return IntervalSet([(-0.5, 0.3)])
+    sigma = band_hierarchy(5.0, 12)[12]
+    if case == "one-float-apart":  # the first band of sigma_12 cut in two
+        cut = 0.5 * (sigma.lo[0] + sigma.hi[0])
+        return IntervalSet.from_arrays([sigma.lo[0] - 1e-6, np.nextafter(cut, np.inf)],
+                                       [cut, sigma.hi[0] + 1e-6])
+    # neither parent holds a root: one lies in sigma_12's widest band, one
+    # in its widest gap
+    i = np.argmax(sigma.hi - sigma.lo)
+    j = np.argmax(sigma.lo[1:] - sigma.hi[:-1])
+    a = np.array([sigma.lo[i], sigma.hi[j]])
+    b = np.array([sigma.hi[i], sigma.lo[j + 1]])
+    return IntervalSet.from_arrays(a + 0.25 * (b - a), b - 0.25 * (b - a))
+
+
+@pytest.mark.parametrize("points, parents", [
+    (256, None), (1024, None), (16384, 3),
+    (256, "straddles-zero"), (256, "one-float-apart"), (256, "no-root")])
+def test_scan_bit_identical_to_unblocked_scan(points, parents):
+    """At 256 and 1024 points the 178 parents of cover 10 fill their last
+    block only partly; at 16384 points each of the first 3 is a block of
+    its own.  A named set is built by hand (``_edge_parents``).  Both scans
+    refine their brackets with the library's refinement, which handles
+    each bracket alone, so blocks change no float, and one sorted cut list
+    cuts the cells the per-parent layout of the reference cuts."""
+    if not isinstance(parents, str):
+        cover = band_hierarchy(5.0, 11).cover(10)
+        parents = IntervalSet.from_arrays(cover.lo[:parents], cover.hi[:parents])
+        if len(parents) == len(cover):
+            assert len(parents) % (spectrum._BLOCK_POINTS // points) != 0
+    else:
+        parents = _edge_parents(parents)
     got = spectrum._scan_parents(5.0, 12, parents, points, 1e-12)
     want = oracles.unblocked_scan_parents(5.0, 12, parents, points, 1e-12,
                                           refine=spectrum._refine_roots)
     assert len(got) > 0
     assert np.array_equal(got.lo, want.lo)
     assert np.array_equal(got.hi, want.hi)
+
+
+def test_scan_clips_a_band_to_its_parent():
+    """The last grid point of [-0.27, hi] rounds one float past hi, onto
+    the float just outside a band of sigma_12, so the band's end root lies
+    outside the parent.  The band ends at the parent's hi; the reference's
+    per-parent layout let it end on that root."""
+    end = 4.083201684951323
+    assert end in band_hierarchy(5.0, 12)[12].hi
+    lo, hi = -0.27, np.nextafter(end, -np.inf)
+    assert lo + (hi - lo) == end
+    parents = IntervalSet([(lo, hi)])
+    got = spectrum._scan_parents(5.0, 12, parents, 256, 1e-12)
+    want = oracles.unblocked_scan_parents(5.0, 12, parents, 256, 1e-12,
+                                          refine=spectrum._refine_roots)
+    assert want.hi[-1] == end
+    assert np.array_equal(got.lo, want.lo)
+    assert np.array_equal(got.hi, np.minimum(want.hi, hi))
+    assert got.hi[-1] == hi
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.5, 2.0, 20.0])
+def test_every_band_inside_one_parent(lam):
+    """Each band of sigma_k lies inside one merged band of
+    sigma_{k-2} | sigma_{k-1}, the parents it was scanned in."""
+    hier = band_hierarchy(lam, 16)
+    for k in range(2, 17):
+        parents = hier[k - 2].union(hier[k - 1])
+        owner = np.searchsorted(parents.lo, hier[k].lo, "right") - 1
+        assert np.all(owner >= 0)
+        assert np.all(hier[k].hi <= parents.hi[owner])
 
 
 @pytest.mark.parametrize("lam, k, level, found, expected", [

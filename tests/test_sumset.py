@@ -168,7 +168,8 @@ def test_rect_small_couplings():
 def test_depth_preconditions():
     with pytest.raises(ValueError):
         check_theorem_rect(5.0, 5.0, 2)
-    with pytest.raises(ValueError):
+    # no depth ceiling: k = 17 at coupling 5 is refused by the pair cap
+    with pytest.raises(SizeCapError, match="13356696 items"):
         check_theorem_rect(5.0, 5.0, 17)
 
 
