@@ -111,13 +111,19 @@ def to_json(obj) -> str:
 def _interval_dict(s: IntervalSet, caveats: list[str], label: str) -> dict:
     if not s:
         return {"count": 0, "hull": None, "total_length": 0.0, "intervals": []}
-    d = {"count": len(s), "hull": [s.hull[0], s.hull[1]],
-         "total_length": s.total_length}
-    if len(s) <= INTERVAL_EMBED_CAP:
+    return _summary_dict(len(s), s.hull, s.total_length, s, caveats, label)
+
+
+def _summary_dict(count: int, hull: tuple[float, float], total_length: float,
+                  s: IntervalSet | None, caveats: list[str], label: str) -> dict:
+    """The document of a non-empty set of count components; its listing s
+    is read only when count is at most INTERVAL_EMBED_CAP."""
+    d = {"count": count, "hull": [hull[0], hull[1]], "total_length": total_length}
+    if count <= INTERVAL_EMBED_CAP:
         d["intervals"] = np.column_stack([s.lo, s.hi])
     else:
         d["intervals"] = None
-        caveats.append(f"{label}: {len(s)} intervals exceed the embed limit "
+        caveats.append(f"{label}: {count} intervals exceed the embed limit "
                        f"{INTERVAL_EMBED_CAP}; listing omitted (use csv output)")
     return d
 
@@ -230,10 +236,13 @@ def _dim_payload(lam: float, k: int, tol: float):
     return config, result, caveats, None
 
 
-def _sum_payload(lam: float, k: int, lambda2: float | None, tol: float):
+def _sum_payload(lam: float, k: int, lambda2: float | None, tol: float,
+                 csv: bool = False):
     if lambda2 is None:
         lambda2 = lam
-    report = check_theorem_rect(lam, lambda2, k, tol=tol)
+    # keep the finest sum cover only where a document lists it
+    report = check_theorem_rect(lam, lambda2, k, tol=tol,
+                                cover_cap=None if csv else INTERVAL_EMBED_CAP)
     caveats = list(report.caveats)
     config = {"lambda1": lam, "lambda2": lambda2, "k": k, "tol": tol}
     result = {
@@ -243,7 +252,9 @@ def _sum_payload(lam: float, k: int, lambda2: float | None, tol: float):
         "sum_dim": asdict(report.sum_dim_est),
         "rhs": report.rhs,
         "gap": report.gap,
-        "sum_cover": _interval_dict(report.sum_cover, caveats, "sum_cover"),
+        "sum_cover": _summary_dict(report.sum_count, report.sum_hull,
+                                   report.sum_total_length, report.sum_cover,
+                                   caveats, "sum_cover"),
     }
     return config, result, caveats, lambda: _intervals_csv(
         [("sum_cover", report.sum_cover)])
@@ -442,14 +453,16 @@ class _Sweep:
 @dataclass(frozen=True)
 class _Command:
     """A subcommand.  ``payload`` is called with every flag's value under
-    its dest; ``sweep`` is set for the commands that sweep can run;
-    ``csv`` is False for those that never render a CSV table."""
+    its dest, and, where ``takes_csv`` is set, with ``csv``: whether the
+    CSV table is rendered; ``sweep`` is set for the commands that sweep
+    can run; ``csv`` is False for those that never render a CSV table."""
 
     help: str
     flags: tuple[_Flag, ...]
     payload: Callable
     sweep: _Sweep | None = None
     csv: bool = True
+    takes_csv: bool = False
 
 
 _LAMBDA = _Flag("--lambda", dest="lam", type=float, required=True)
@@ -502,7 +515,8 @@ _COMMANDS: dict[str, _Command] = {
                ("hd1", "hd2", "sum_dim", "rhs", "gap", "sum_component_count"),
                lambda r: [r["hd1"]["value"], r["hd2"]["value"],
                           r["sum_dim"]["value"], r["rhs"], r["gap"],
-                          r["sum_cover"]["count"]])),
+                          r["sum_cover"]["count"]]),
+        takes_csv=True),
     "periodic": _Command(
         "periodic-orbit data or a rationality scan",
         (_Flag("--a", type=float, default=None,
@@ -602,10 +616,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "csv" and not command.csv:
         print(_NO_CSV, file=sys.stderr)
         return 1
+    kwargs = {f.dest: getattr(args, f.dest) for f in command.flags}
+    if command.takes_csv:
+        kwargs["csv"] = args.format == "csv"
     t0 = time.perf_counter()
     try:
-        payload = command.payload(
-            **{f.dest: getattr(args, f.dest) for f in command.flags})
+        payload = command.payload(**kwargs)
     except (BandIsolationError, EigenvalueSeparationError) as exc:
         print(f"fibspec: numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,16 @@
 """Box-counting and partition-exponent (Moran) dimension estimators.
 
-Box counting consumes IntervalSet covers, in half-open cells
-[j*eps, (j+1)*eps) anchored at 0, with the exact occupancy rule spelled
-out on box_count.  The partition exponent is solved from band lengths.
+Box counting consumes IntervalSet covers, or a set's components in
+order as they stream past, in half-open cells [j*eps, (j+1)*eps)
+anchored at 0, with the exact occupancy rule spelled out on box_count.
+The partition exponent is solved from band lengths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -56,16 +58,26 @@ def box_count(s: IntervalSet, eps: float) -> int:
     beyond the positive-length overlaps.  Components are counted in
     blocks, so the temporaries do not grow with the size of s.
     """
+    return _count_cells(((s.lo[i:i + _BLOCK_COMPONENTS],
+                          s.hi[i:i + _BLOCK_COMPONENTS])
+                         for i in range(0, len(s), _BLOCK_COMPONENTS)), eps)
+
+
+def _count_cells(chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+                 eps: float) -> int:
+    """box_count of the set whose components, in order, are the (lo, hi)
+    arrays of chunks: any split of a normalized set into consecutive
+    runs gives the same count, so a set can be counted as it streams."""
     if eps <= 0 or not math.isfinite(eps):
         raise ValueError("cell size must be positive and finite")
     # Components are sorted, so cell runs can only overlap earlier runs;
     # clip each run to start past the highest cell counted so far, which
-    # carries from block to block.
+    # carries from chunk to chunk.
     total = 0
     reach = np.iinfo(np.int64).min
-    for i in range(0, len(s), _BLOCK_COMPONENTS):
-        j0 = np.floor(s.lo[i:i + _BLOCK_COMPONENTS] / eps).astype(np.int64)
-        j1 = np.floor(s.hi[i:i + _BLOCK_COMPONENTS] / eps).astype(np.int64)
+    for lo, hi in chunks:
+        j0 = np.floor(lo / eps).astype(np.int64)
+        j1 = np.floor(hi / eps).astype(np.int64)
         prev_max = np.maximum.accumulate(np.concatenate([[reach], j1]))
         start = np.maximum(j0, prev_max[:-1] + 1)
         total += int(np.sum(np.maximum(0, j1 - start + 1)))
@@ -83,21 +95,34 @@ def box_dim_regression(covers: list[IntervalSet],
     """
     if len(covers) != len(eps):
         raise ValueError("covers and eps must align")
-    if len(covers) < 3:
-        raise ValueError(f"need at least 3 levels, have {len(covers)}")
+    eps_arr = _cell_sizes(eps)
+    return _count_regression([box_count(c, e) for c, e in zip(covers, eps_arr)],
+                             eps_arr)
+
+
+def _cell_sizes(eps: list[float]) -> np.ndarray:
+    """The cell sizes of a regression, checked before anything is counted:
+    at least three, positive, strictly decreasing (coarse to fine)."""
+    if len(eps) < 3:
+        raise ValueError(f"need at least 3 levels, have {len(eps)}")
     eps_arr = np.asarray(eps, dtype=float)
     if np.any(eps_arr <= 0):
         raise ValueError("cell sizes must be positive")
     if np.any(np.diff(eps_arr) >= 0):
         raise ValueError("cell sizes must be strictly decreasing (coarse to fine)")
-    levels = list(range(len(covers)))
-    counts = np.array([box_count(c, e) for c, e in zip(covers, eps_arr)],
-                      dtype=float)
+    return eps_arr
+
+
+def _count_regression(counts: list[int], eps: np.ndarray) -> DimensionEstimate:
+    """box_dim_regression from the box counts at the checked cell sizes
+    eps (see _cell_sizes)."""
+    counts = np.array(counts, dtype=float)
     if np.any(counts == 0):
         raise ValueError("a cover level produced zero boxes (empty set?)")
+    levels = list(range(len(counts)))
     if np.all(counts == counts[0]):
         return DimensionEstimate(0.0, 0.0, levels, "box", degenerate=True)
-    x = np.log(1.0 / eps_arr)
+    x = np.log(1.0 / eps)
     y = np.log(counts)
     xc = x - x.mean()
     slope = float(np.dot(xc, y) / np.dot(xc, xc))

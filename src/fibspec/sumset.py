@@ -15,15 +15,23 @@ level is counted at its own resolution — the width of its widest band —
 which tracks the hierarchy's actual contraction rate.  Using the same
 rule for the factor estimates and the sum estimate makes the finite-depth
 transients largely cancel in the reported gap.
+
+A sum is formed one merge window of pair sums at a time (_sum_chunks),
+and its components come out in order.  minkowski_sum joins them into an
+IntervalSet; the sum check box-counts them as they stream past, so its
+memory is bounded by the window, and it holds the finest sum's cover
+only when its caller will list it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dimension import (DimensionEstimate, box_dim_regression,
+from .dimension import (DimensionEstimate, _cell_sizes, _count_cells,
+                        _count_regression, box_count, box_dim_regression,
                         solve_partition_exponent)
 from .errors import SizeCapError
 from .intervals import IntervalSet, _normalize
@@ -33,9 +41,9 @@ SUM_PAIR_CAP = 10_000_000
 """Maximum number of pair sums a Minkowski sum of a and b forms:
 len(a) * len(b), or n(n+1)/2 for a self-sum of n components, which
 forms each unordered pair once.  A bound on the work; the memory is
-bounded by the merge window and the output."""
+bounded by the merge window and whatever output is held."""
 
-_WINDOW_PAIRS = 1 << 16  # pair sums merged together by minkowski_sum
+_WINDOW_PAIRS = 1 << 16  # pair sums merged together by _sum_chunks
 _SAMPLE_SIDE = 256  # window edges come from at most 256**2 sampled sums
 
 CROSS_CHECK_TOL = 0.05
@@ -62,13 +70,35 @@ def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     the pairs it forms exceed SUM_PAIR_CAP.
 
     The pairs are formed and merged one window of left endpoints at a
-    time, so memory is bounded by the window and the output, not by the
-    number of pairs.  A self-sum (b is a) forms only the n(n+1)/2 pairs
-    j >= i, and is charged that many against the cap:
-    fl(a_i + a_j) == fl(a_j + a_i), so the union is the same.  The
-    endpoints are the floats a.lo[i] + b.lo[j] and a.hi[i] + b.hi[j].
-    Each window is merged in place by intervals._normalize, as
-    IntervalSet.from_arrays merges, and the windows are joined in order.
+    time (see _sum_chunks), so the work memory is bounded by the window;
+    the result is the windows' components, joined in order.  A self-sum
+    (b is a) forms only the n(n+1)/2 pairs j >= i, and is charged that
+    many against the cap: fl(a_i + a_j) == fl(a_j + a_i), so the union
+    is the same.  The endpoints are the floats a.lo[i] + b.lo[j] and
+    a.hi[i] + b.hi[j].
+    """
+    return _joined(_sum_chunks(a, b))
+
+
+def _joined(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> IntervalSet:
+    """The set whose components, in order, are those of the (lo, hi)
+    chunks of one sum."""
+    lo, hi = zip(*chunks)
+    return IntervalSet._from_normalized(np.concatenate(lo), np.concatenate(hi))
+
+
+def _sum_chunks(a: IntervalSet, b: IntervalSet
+                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The components of minkowski_sum(a, b) in order, as (lo, hi) arrays
+    of one merge window each; nothing is formed before the first item is
+    asked for.
+
+    Each window of pair sums is merged in place by intervals._normalize,
+    as IntervalSet.from_arrays merges.  Its leading components that reach
+    back to the right end of the previous window's last component extend
+    that component, so a window is held back until the next window that
+    keeps a component of its own has been merged; what is yielded is
+    final.
     """
     if not a or not b:
         raise ValueError("minkowski_sum requires two non-empty interval sets")
@@ -77,9 +107,7 @@ def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     if len(a) > len(b):
         a, b = b, a  # rows are the shorter operand
     rows = np.arange(len(a))
-    out_lo: list[np.ndarray] = []
-    out_hi: list[np.ndarray] = []
-    run = -np.inf  # right end of the last component so far
+    held = None  # the last window with a component of its own
     edges = _window_edges(a.lo, b.lo, n_pairs)
     first = np.zeros(len(a), dtype=np.int64)
     for w in range(edges.size + 1):
@@ -99,19 +127,19 @@ def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         pair_col = np.arange(total) + np.repeat(lo_col - offsets, counts)
         wlo, whi = _normalize(np.repeat(a.lo, counts) + b.lo[pair_col],
                               np.repeat(a.hi, counts) + b.hi[pair_col])
-        # Components that reach back to the running right end continue
-        # the last component of the previous windows.
-        joined = int(np.searchsorted(wlo, run, side="right"))
-        if joined:
-            run = max(run, float(whi[joined - 1]))
-            out_hi[-1][-1] = run
-            wlo, whi = wlo[joined:], whi[joined:]
-        if wlo.size:
-            out_lo.append(wlo)
-            out_hi.append(whi)
-            run = float(whi[-1])
-    return IntervalSet._from_normalized(np.concatenate(out_lo),
-                                        np.concatenate(out_hi))
+        # Components that reach back to the right end of the held window's
+        # last component continue it.
+        if held is not None:
+            held_hi = held[1]
+            joined = int(np.searchsorted(wlo, held_hi[-1], side="right"))
+            if joined:
+                held_hi[-1] = max(held_hi[-1], whi[joined - 1])
+                wlo, whi = wlo[joined:], whi[joined:]
+            if not wlo.size:
+                continue
+            yield held
+        held = wlo, whi
+    yield held
 
 
 def _window_edges(a_lo: np.ndarray, b_lo: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -154,7 +182,10 @@ class TheoremReport:
     ``gap`` = sum_dim_est.value - rhs with rhs = min(hd1 + hd2, 1); a
     small |gap| is consistent with the sum-dimension identity at this
     coupling pair, a clearly negative gap is consistent with the general
-    upper bound only.
+    upper bound only.  ``sum_count``, ``sum_hull`` and
+    ``sum_total_length`` describe the finest sum cover; ``sum_cover`` is
+    that cover itself, or None where it has more components than the
+    caller asked to keep.
     """
 
     lambda1: float
@@ -166,7 +197,10 @@ class TheoremReport:
     rhs: float
     gap: float
     levels: list[int]
-    sum_cover: IntervalSet
+    sum_count: int
+    sum_hull: tuple[float, float]
+    sum_total_length: float
+    sum_cover: IntervalSet | None
     caveats: tuple[str, ...] = field(default=(EXCEPTIONAL_CAVEAT,))
 
     def __post_init__(self):
@@ -218,19 +252,32 @@ def _factor_report(covers: list[IntervalSet], which: str,
 
 
 def check_theorem_rect(lambda1: float, lambda2: float, k: int,
-                       tol: float = 1e-12) -> TheoremReport:
+                       tol: float = 1e-12,
+                       cover_cap: int | None = 10_000) -> TheoremReport:
     """Compare dim(cover(lambda1,k) + cover(lambda2,k)) with
     min(d1 + d2, 1) over cover levels k-3 .. k.  Depth is bounded only
-    by SUM_PAIR_CAP, charged before any sum is formed."""
+    by SUM_PAIR_CAP, charged before any sum is formed.
+
+    The three coarser sums are box-counted as their merge windows stream
+    out of _sum_chunks, and are never held.  The finest sum is
+    box-counted and measured (count, hull, total length) in one pass,
+    which keeps its cover for the report only if it has at most
+    cover_cap components (None: any number).
+    """
     levels, covers1 = band_hierarchy(lambda1, k + 1, tol).ladder(k)
     covers2 = (covers1 if lambda2 == lambda1
                else band_hierarchy(lambda2, k + 1, tol).ladder(k)[1])
     # Refuse an oversized finest sum before forming the coarser ones.
     _charged_pairs(covers1[-1], covers2[-1])
 
-    sums = [minkowski_sum(covers1[i], covers2[i]) for i in range(len(levels))]
-    sum_dim = box_dim_regression(sums, [max(c1.max_length, c2.max_length)
-                                        for c1, c2 in zip(covers1, covers2)])
+    eps = _cell_sizes([max(c1.max_length, c2.max_length)
+                       for c1, c2 in zip(covers1, covers2)])
+    counts = [_count_cells(_sum_chunks(c1, c2), e)
+              for c1, c2, e in zip(covers1[:-1], covers2[:-1], eps)]
+    boxes, count, hull, total_length, cover = _finest_sum(
+        covers1[-1], covers2[-1], eps[-1], cover_cap)
+    counts.append(boxes)
+    sum_dim = _count_regression(counts, eps)
 
     caveats = [EXCEPTIONAL_CAVEAT]
     hd1 = _factor_report(covers1, "factor 1", caveats)
@@ -250,6 +297,43 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
         rhs=rhs,
         gap=sum_dim.value - rhs,
         levels=levels,
-        sum_cover=sums[-1],
+        sum_count=count,
+        sum_hull=hull,
+        sum_total_length=total_length,
+        sum_cover=cover,
         caveats=tuple(caveats),
     )
+
+
+def _finest_sum(a: IntervalSet, b: IntervalSet, eps: float, cap: int | None):
+    """Box count at eps, component count, hull, total length and cover of
+    a + b.  With cap None the cover is wanted whole, and minkowski_sum
+    forms it.  Otherwise the sum streams past once and its cover is None
+    if it has more than cap components; its windows are dropped as soon
+    as they hold more.  The streamed total length sums one array of every
+    component's length, so it is the float minkowski_sum(a, b).total_length.
+    """
+    if cap is None:
+        cover = minkowski_sum(a, b)
+        return (box_count(cover, eps), len(cover), cover.hull,
+                cover.total_length, cover)
+    # A sum has at most as many components as pairs; the pages past the
+    # count are never written, so they are never resident.
+    lengths = np.empty(_charged_pairs(a, b))
+    count, ends, kept = 0, [], []
+
+    def tap():
+        nonlocal count, kept
+        for lo, hi in _sum_chunks(a, b):
+            np.subtract(hi, lo, out=lengths[count:count + lo.size])
+            count += lo.size
+            ends.append((float(lo[0]), float(hi[-1])))
+            if kept is not None:
+                kept.append((lo, hi))
+                if count > cap:
+                    kept = None
+            yield lo, hi
+
+    boxes = _count_cells(tap(), eps)
+    return (boxes, count, (ends[0][0], ends[-1][1]),
+            float(np.sum(lengths[:count])), None if kept is None else _joined(kept))

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 
-from fibspec import (IntervalSet, LinearIFS, Point3, apply_map,
-                     band_hierarchy, fibonacci_number, invariant_gradient)
+from fibspec import (IntervalSet, LinearIFS, Point3, TheoremReport,
+                     apply_map, band_hierarchy, box_dim_regression,
+                     fibonacci_number, invariant_gradient, minkowski_sum)
+from fibspec import sumset
 from fibspec.errors import BandIsolationError, EigenvalueSeparationError
 from fibspec.spectrum import LADDER_LEVELS
 
@@ -382,6 +384,38 @@ def unblocked_box_count(s: IntervalSet, eps: float) -> int:
                                np.maximum.accumulate(j1)[:-1]])
     start = np.maximum(j0, prev_max + 1)
     return int(np.sum(np.maximum(0, j1 - start + 1)))
+
+
+def materialized_check_theorem_rect(lambda1: float, lambda2: float, k: int,
+                                    tol: float = 1e-12,
+                                    cover_cap: int | None = None) -> TheoremReport:
+    """check_theorem_rect as it stood before the sums were streamed: all
+    four ladder sums are formed by minkowski_sum and held, then box-counted
+    by box_dim_regression.  The finest cover is always kept, whatever
+    cover_cap says; a document lists it only where it may."""
+    levels, covers1 = band_hierarchy(lambda1, k + 1, tol).ladder(k)
+    covers2 = (covers1 if lambda2 == lambda1
+               else band_hierarchy(lambda2, k + 1, tol).ladder(k)[1])
+    sumset._charged_pairs(covers1[-1], covers2[-1])
+
+    sums = [minkowski_sum(covers1[i], covers2[i]) for i in range(len(levels))]
+    sum_dim = box_dim_regression(sums, [max(c1.max_length, c2.max_length)
+                                        for c1, c2 in zip(covers1, covers2)])
+
+    caveats = [sumset.EXCEPTIONAL_CAVEAT]
+    hd1 = sumset._factor_report(covers1, "factor 1", caveats)
+    hd2 = (hd1 if lambda2 == lambda1
+           else sumset._factor_report(covers2, "factor 2", caveats))
+    if lambda2 == lambda1 and len(caveats) > 1:
+        caveats[1:] = [c.replace("factor 1", "both factors") for c in caveats[1:]]
+
+    rhs = min(hd1.value + hd2.value, 1.0)
+    return TheoremReport(
+        lambda1=float(lambda1), lambda2=float(lambda2), k=int(k),
+        hd1_est=hd1, hd2_est=hd2, sum_dim_est=sum_dim, rhs=rhs,
+        gap=sum_dim.value - rhs, levels=levels, sum_count=len(sums[-1]),
+        sum_hull=sums[-1].hull, sum_total_length=sums[-1].total_length,
+        sum_cover=sums[-1], caveats=tuple(caveats))
 
 
 # ----------------------------------------------------------------------

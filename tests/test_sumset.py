@@ -1,11 +1,13 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fibspec import (IntervalSet, TheoremReport, box_dim_regression,
-                     check_theorem_rect, ladder_dimension, minkowski_sum)
-from fibspec import sumset
+from fibspec import (IntervalSet, TheoremReport, box_count,
+                     box_dim_regression, check_theorem_rect, ladder_dimension,
+                     minkowski_sum)
+from fibspec import cli, dimension, sumset
 from fibspec.errors import SizeCapError
 from fibspec.spectrum import band_hierarchy
 from fibspec.sumset import EXCEPTIONAL_CAVEAT
@@ -203,8 +205,9 @@ def test_pair_cap_refused_before_any_sum(monkeypatch):
     n = len(band_hierarchy(8.0, 9).cover(8))
     n_pairs = n * (n + 1) // 2  # the finest self-sum's unordered pairs
     calls = []
-    monkeypatch.setattr(sumset, "minkowski_sum",
-                        lambda *args, **kw: calls.append(args) or minkowski_sum(*args, **kw))
+    chunks = sumset._sum_chunks
+    monkeypatch.setattr(sumset, "_sum_chunks",
+                        lambda *args: calls.append(args) or chunks(*args))
     monkeypatch.setattr(sumset, "SUM_PAIR_CAP", n_pairs - 1)
     with pytest.raises(SizeCapError) as info:
         check_theorem_rect(8.0, 8.0, 8)
@@ -227,16 +230,12 @@ def test_rect_pair_cap_charges_all_pairs(monkeypatch):
 
 def test_report_validates_rhs_and_gap():
     rep = check_theorem_rect(8.0, 8.0, 8)
+    assert isinstance(rep, TheoremReport)
     with pytest.raises(ValueError):
-        TheoremReport(lambda1=1.0, lambda2=1.0, k=8, hd1_est=rep.hd1_est,
-                      hd2_est=rep.hd2_est, sum_dim_est=rep.sum_dim_est,
-                      rhs=1.5, gap=0.0, levels=[5, 6, 7, 8],
-                      sum_cover=rep.sum_cover)
+        dataclasses.replace(rep, lambda1=1.0, lambda2=1.0, rhs=1.5, gap=0.0)
     with pytest.raises(ValueError):
-        TheoremReport(lambda1=1.0, lambda2=1.0, k=8, hd1_est=rep.hd1_est,
-                      hd2_est=rep.hd2_est, sum_dim_est=rep.sum_dim_est,
-                      rhs=0.5, gap=float("nan"), levels=[5, 6, 7, 8],
-                      sum_cover=rep.sum_cover)
+        dataclasses.replace(rep, lambda1=1.0, lambda2=1.0, rhs=0.5,
+                            gap=float("nan"))
 
 
 def test_estimator_slack_bound():
@@ -353,12 +352,110 @@ def test_self_sum_forms_each_unordered_pair_once(monkeypatch):
 
 
 def test_sum_check_memory_stays_small():
-    """The finest self-sum at lambda = 20, k = 14 has 1220**2 pairs; the
-    windowed merge must never hold them all at once."""
+    """The finest self-sum at lambda = 20, k = 14 has 1220**2 pairs and
+    564,934 components.  The ladder sums are box-counted as their windows
+    stream past and the finest cover, too long to list in a document, is
+    not kept; holding all four sums peaked at 24.1 MB traced."""
+    check_theorem_rect(20.0, 20.0, 6)  # first-call allocations stay out of the count
     tracemalloc.start()
     try:
-        check_theorem_rect(20.0, 20.0, 14)
+        rep = check_theorem_rect(20.0, 20.0, 14)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert rep.sum_count == 564_934 and rep.sum_cover is None
+    assert peak <= 14 * 2**20
+
+
+def _random_set(rng, n):
+    """n intervals with nested and zero-width ones among them; on a grid
+    of quarters half the time, where many of them touch."""
+    lo = rng.uniform(-5, 5, n)
+    if rng.random() < 0.5:
+        lo = np.round(lo * 4) / 4
+    hi = lo + rng.choice([0.0, 0.25, 0.5, 1.5], n) * rng.integers(0, 2, n)
+    nested = rng.random(n) < 0.2  # a sub-interval of an earlier interval
+    parent = rng.integers(0, n, n)
+    lo = np.where(nested, lo[parent] + 0.125 * (hi[parent] > lo[parent]), lo)
+    hi = np.where(nested, np.maximum(lo, hi[parent] - 0.125), hi)
+    return IntervalSet.from_arrays(lo, hi)
+
+
+def test_streamed_sum_matches_materialized_sum(monkeypatch):
+    """Box counts, component count, hull and total length of a streamed
+    sum are those of minkowski_sum's result, bit for bit, and the cover
+    is kept exactly when it has at most cap components."""
+    rng = np.random.default_rng(19)
+    normalize, windows = sumset._normalize, []
+
+    def counting_normalize(lo, hi):
+        windows.append(lo.size)
+        return normalize(lo, hi)
+
+    monkeypatch.setattr(sumset, "_normalize", counting_normalize)
+    joins = 0
+    for _ in range(150):
+        monkeypatch.setattr(sumset, "_WINDOW_PAIRS", int(rng.integers(1, 12)))
+        a = _random_set(rng, int(rng.integers(1, 25)))
+        b = _random_set(rng, int(rng.integers(1, 25)))
+        for x, y in ((a, a), (a, b), (b, a)):
+            want = minkowski_sum(x, y)
+            windows.clear()
+            chunks = list(sumset._sum_chunks(x, y))
+            joins += len(windows) - len(chunks)
+            assert_same_endpoints(sumset._joined(chunks), want)
+            for eps in (0.03, 0.25, 0.4, 3.0):
+                assert (dimension._count_cells(sumset._sum_chunks(x, y), eps)
+                        == box_count(want, eps))
+            for cap in (None, len(want), len(want) - 1):
+                boxes, count, hull, total, cover = sumset._finest_sum(
+                    x, y, 0.25, cap)
+                assert boxes == box_count(want, 0.25)
+                assert count == len(want)
+                assert hull == want.hull
+                assert np.float64(total).view(np.int64) == np.float64(
+                    want.total_length).view(np.int64)
+                if cap is None or cap >= len(want):
+                    assert_same_endpoints(cover, want)
+                else:
+                    assert cover is None
+    assert joins > 1000  # windows swallowed whole by the component before
+
+
+REFERENCE_SUMS = [
+    ["sum", "--lambda", "20", "--k", "14"],
+    ["sum", "--lambda", "5", "--k", "14"],
+    ["sum", "--lambda", "20", "--lambda2", "30", "--k", "13"],
+    ["sum", "--lambda", "0.5", "--k", "14"],
+    ["sum", "--lambda", "20", "--k", "12"],
+    ["sum", "--lambda", "20", "--lambda2", "30", "--k", "12"],
+    ["sum", "--lambda", "20", "--k", "12", "--format", "csv"],
+    ["sum", "--lambda", "0.5", "--k", "14", "--format", "csv"],
+    ["sum", "--lambda", "20", "--lambda2", "30", "--k", "12", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", REFERENCE_SUMS, ids=" ".join)
+def test_streamed_documents_match_materialized_sums(argv, monkeypatch, capsys):
+    assert cli.main(argv) == 0
+    streamed = capsys.readouterr().out
+    monkeypatch.setattr(cli, "check_theorem_rect",
+                        oracles.materialized_check_theorem_rect)
+    assert cli.main(argv) == 0
+    assert streamed == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_each_ladder_sum_formed_once(fmt, monkeypatch, capsys):
+    covers = band_hierarchy(5.0, 11).ladder(10)[1]
+    normalize, merged = sumset._normalize, []
+
+    def counting_normalize(lo, hi):
+        merged.append(lo.size)
+        return normalize(lo, hi)
+
+    monkeypatch.setattr(sumset, "_WINDOW_PAIRS", 500)
+    monkeypatch.setattr(sumset, "_normalize", counting_normalize)
+    assert cli.main(["sum", "--lambda", "5", "--k", "10", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert sum(merged) == sum(len(c) * (len(c) + 1) // 2 for c in covers)

@@ -1,9 +1,11 @@
 """The benchmark's per-layer tracer (perfbench/layers.py) wraps the package
 from outside, by name.  It counts band hierarchies by wrapping
 ``spectrum.band_hierarchy`` wherever a module imported it, and reads each
-result's length and levels.  These tests run that tracer, unedited, over
-two commands, so a change that moves the hierarchy out of its sight shows
-here and not only as a silent zero in a benchmark run."""
+result's length and levels; it takes len() of what the sums and box
+counts are given and return.  These tests run that tracer, unedited, over
+a few commands, so a change that moves the hierarchy out of its sight, or
+hands a traced function something without a length, shows here and not
+only as a silent zero or a failed operation in a benchmark run."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +44,41 @@ def test_tracer_counts_the_hierarchy_of_spectrum_and_dim(capsys):
     assert tracer.calls["spectrum.band_hierarchy"] == 2
     for module in (cli, spectrum, sumset):
         assert module.band_hierarchy is original
+
+
+def test_tracer_runs_sum_and_counts_only_listed_sums(capsys):
+    """The tracer takes len() of box_count's first argument and of
+    minkowski_sum's arguments and result, so the sum check streams its
+    sums through private helpers only.  Traced documents equal untraced
+    ones; only the CSV run, whose finest cover is listed, goes through
+    minkowski_sum and box_count with it."""
+    argvs = (["sum", "--lambda", "20", "--k", "12"],
+             ["sum", "--lambda", "0.5", "--k", "10"],
+             ["sum", "--lambda", "5", "--k", "10", "--format", "csv"])
+    untraced = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        untraced.append(capsys.readouterr().out)
+    original = sumset.check_theorem_rect
+    tracer = _load_layers().Tracer()
+    tracer.install()
+    try:
+        traced = []
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            traced.append(capsys.readouterr().out)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    metrics = tracer.metrics()
+    ladders = [spectrum.band_hierarchy(lam, k + 1).ladder(k)[1]
+               for lam, k in ((20.0, 12), (0.5, 10), (5.0, 10))]
+    listed = untraced[2].count("\n") - 1  # CSV lines less the header
+    assert metrics["sumset.pairs_formed"] == len(ladders[2][-1]) ** 2
+    assert metrics["sumset.components_out"] == listed
+    # the factor ladders, and the listed sum
+    assert metrics["dimension.components_counted"] == sum(
+        len(c) for covers in ladders for c in covers) + listed
+    assert tracer.calls["sumset.minkowski_sum"] == 1
+    assert tracer.calls["sumset.check_theorem_rect"] == 3
+    assert cli.check_theorem_rect is original
