@@ -9,7 +9,14 @@ guarantee, so the "runtime_ms" slot is always null.
 Floats are written as format(x, ".17g").  Arrays of them (interval
 listings, eigenvalues, CSV columns) are written in bulk: one %-format of
 a template that repeats "%.17g", which gives the same string for every
-double, after one vectorized check that every value is finite.
+double, after one vectorized check that every value is finite.  A CSV
+table is written as it is rendered, a few thousand lines at a time, so
+its text is never held whole; every value in it is checked before its
+first byte is written.
+
+A call builds the argument parser of its own command only; the parser of
+every command is built where argv names none (no arguments, -h, an
+unknown name), and a usage line or error reads the same from either.
 
 Exit codes: 0 success, 1 invalid arguments or values, 2 numeric failure
 (band isolation, eigenvalue separation), 3 size cap exceeded.
@@ -128,25 +135,33 @@ def _summary_dict(count: int, hull: tuple[float, float], total_length: float,
     return d
 
 
-def _csv_table(header: list[str], rows: list[list]) -> str:
-    """CSV text: the header line, then one line per row.
+_CSV_BLOCK_LINES = 4096  # lines rendered by one %-format
+_Write = Callable[[str], object]  # a text writer, such as sys.stdout.write
+
+
+def _csv_table(header: list[str], rows: list[list], write: _Write):
+    """Write CSV text through write: the header line, then one line per row.
 
     A cell is a string, None (an empty cell), an int, a float or a 1-d
     array.  A row with array cells stands for one line per element of its
     arrays, which share one length; its other cells repeat on each line.
-    Every row is rendered by one %-format of a template for its lines.
+    A row's lines are rendered _CSV_BLOCK_LINES at a time, each block by
+    one %-format of a template for its lines, so the text held is bounded
+    by the block.  Every value is checked to be finite before the first
+    write.
     """
-    lines = [",".join(header) + "\n"]
+    templates = []
     for row in rows:
         fields, columns, n = [], [], 1
         for v in row:
             if isinstance(v, np.ndarray):
                 if v.dtype.kind == "f":
+                    if not np.isfinite(v).all():
+                        raise ValueError(_NON_FINITE)
                     fields.append("%.17g")
-                    columns.append(_float_values(v))
                 else:
                     fields.append("%d")
-                    columns.append(v.tolist())
+                columns.append(v)
                 n = v.size
             elif isinstance(v, str):
                 fields.append(v.replace("%", "%%"))
@@ -156,20 +171,24 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
                 fields.append(str(int(v)))
             else:
                 fields.append(_format_float(v))
-        template = (",".join(fields) + "\n") * n
-        lines.append(template % tuple(itertools.chain.from_iterable(zip(*columns))))
-    return "".join(lines)
+        templates.append((",".join(fields) + "\n", columns, n))
+    write(",".join(header) + "\n")
+    for line, columns, n in templates:
+        for start in range(0, n, _CSV_BLOCK_LINES):
+            stop = min(start + _CSV_BLOCK_LINES, n)
+            values = zip(*(c[start:stop].tolist() for c in columns))
+            write((line * (stop - start)) % tuple(itertools.chain.from_iterable(values)))
 
 
-def _intervals_csv(named: list[tuple[str, IntervalSet]]) -> str:
-    return _csv_table(["set", "index", "lo", "hi"],
-                      [[name, np.arange(len(s)), s.lo, s.hi] for name, s in named])
+def _intervals_csv(named: list[tuple[str, IntervalSet]], write: _Write):
+    _csv_table(["set", "index", "lo", "hi"],
+               [[name, np.arange(len(s)), s.lo, s.hi] for name, s in named], write)
 
 
 # ----------------------------------------------------------------------
 # Command payloads: each is called with every flag's value under its
 # dest and returns (config, result, caveats, render_csv), where
-# render_csv builds the CSV text on demand, or is None
+# render_csv(write) writes the CSV text on demand, or is None
 # ----------------------------------------------------------------------
 
 def _spectrum_payload(lam: float, k: int, tol: float):
@@ -186,8 +205,8 @@ def _spectrum_payload(lam: float, k: int, tol: float):
         "sigma_k_plus_1": _interval_dict(sigma_k1, caveats, "sigma_k_plus_1"),
         "cover": _interval_dict(cover, caveats, "cover"),
     }
-    return config, result, caveats, lambda: _intervals_csv(
-        [("sigma_k", sigma_k), ("sigma_k_plus_1", sigma_k1), ("cover", cover)])
+    return config, result, caveats, lambda write: _intervals_csv(
+        [("sigma_k", sigma_k), ("sigma_k_plus_1", sigma_k1), ("cover", cover)], write)
 
 
 def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
@@ -256,8 +275,8 @@ def _sum_payload(lam: float, k: int, lambda2: float | None, tol: float,
                                    report.sum_total_length, report.sum_cover,
                                    caveats, "sum_cover"),
     }
-    return config, result, caveats, lambda: _intervals_csv(
-        [("sum_cover", report.sum_cover)])
+    return config, result, caveats, lambda write: _intervals_csv(
+        [("sum_cover", report.sum_cover)], write)
 
 
 def _orbit_dict(info) -> dict:
@@ -352,7 +371,8 @@ def _ifs_payload(ratios: str | None, offsets: str | None, hull: str,
         "similarity_dim": sim,
         "cover": _interval_dict(cover, caveats, "cover"),
     }
-    return config, result, caveats, lambda: _intervals_csv([("cover", cover)])
+    return config, result, caveats, lambda write: _intervals_csv(
+        [("cover", cover)], write)
 
 
 # ----------------------------------------------------------------------
@@ -420,9 +440,9 @@ def _sweep_payload(swept_command: str, start: float, stop: float, count: int,
     config = {"command": swept_command, "param": label, "start": start,
               "stop": stop, "count": count, **dict(sorted(fixed.items()))}
     result = {"param": label, "values": values, "results": results}
-    return config, result, caveats, lambda: _csv_table(
+    return config, result, caveats, lambda write: _csv_table(
         [label, *spec.columns],
-        [[v, *spec.row(r)] for v, r in zip(values, results)])
+        [[v, *spec.row(r)] for v, r in zip(values, results)], write)
 
 
 # ----------------------------------------------------------------------
@@ -565,13 +585,21 @@ _COMMANDS["sweep"] = _Command(
     _sweep_payload)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of argv: only the subparser of the command that argv
+    starts with, or every subparser where it starts with none (no
+    arguments, -h, an unknown name).  A one-command parser names every
+    command in its usage line, which its errors print, as the full
+    parser does."""
     parser = _Parser(prog="fibspec",
                      description="Trace-map spectra, certified band covers, "
                                  "dimension estimators, and sum-set checks.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-    for name, command in _COMMANDS.items():
+    known = bool(argv) and argv[0] in _COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar="{" + ",".join(_COMMANDS) + "}" if known else None)
+    for name in argv[:1] if known else _COMMANDS:
+        command = _COMMANDS[name]
         p = sub.add_parser(name, help=command.help)
         for f in command.flags:
             p.add_argument(f.name, **f.options)
@@ -585,9 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
 _NO_CSV = "fibspec: csv output is only available for interval sets and sweeps"
 
 
-def _write_atomic(path: str, text: str):
-    """Write through a temp file and a rename; the file gets the mode a
-    plain ``open`` would give it under the current umask."""
+def _write_atomic(path: str, emit: Callable[[_Write], None]):
+    """Write what emit passes to the writer it is given through a temp
+    file and a rename; the file gets the mode a plain ``open`` would give
+    it under the current umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory,
                                prefix=os.path.basename(path) + ".",
@@ -597,7 +626,7 @@ def _write_atomic(path: str, text: str):
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            emit(fh.write)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -606,9 +635,10 @@ def _write_atomic(path: str, text: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except _UsageError:
         return 1
 
@@ -636,27 +666,30 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "csv" and render_csv is None:  # ifs --resonance
         print(_NO_CSV, file=sys.stderr)
         return 1
+    # A CSV table is rendered as it is written, and refused, if at all,
+    # before its first byte.
     try:
         if args.format == "csv":
-            text = render_csv()
+            emit = render_csv
         else:
             doc = {"command": args.command, "config": config,
                    "result": result, "caveats": caveats, "runtime_ms": None}
             text = to_json(doc) + "\n"
+            emit = lambda write: write(text)
+        if args.out:
+            try:
+                _write_atomic(args.out, emit)
+            except OSError as exc:
+                print(f"fibspec: cannot write {args.out}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return 1
+        else:
+            emit(sys.stdout.write)
     except ValueError as exc:  # a non-finite value in the document
         print(f"fibspec: invalid arguments: {exc}", file=sys.stderr)
         return 1
 
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if args.out:
-        try:
-            _write_atomic(args.out, text)
-        except OSError as exc:
-            print(f"fibspec: cannot write {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
     print(f"fibspec: {args.command} finished in {elapsed_ms:.1f} ms",
           file=sys.stderr)
     return 0

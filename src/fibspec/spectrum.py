@@ -52,7 +52,10 @@ is a simple root of x_k = +1 or x_k = -1.  The scan's brackets are
 refined about ``_BLOCK_POINTS`` at a time, each on its own: from the
 regula-falsi point by one Muller step, through that point and the two
 bracket ends whose values the scan holds, then by secant steps, inside
-the sign bracket, until the step is a few ulps.  Each root is then
+the sign bracket, until the step is a few ulps of max(|E|, 1).  The
+floor at 1 is there because the rounding of x_k is on the scale of its
+O(1) values, not of E: near E = 0 a step of a few ulps of E may never
+come.  Each root is then
 proved, by a sign change between it and the next float, where the root
 moves to the one of the two outside its band, or else by a sign change
 within tol/4 of it; a root that fails both is bisected to adjacent
@@ -80,7 +83,7 @@ from .intervals import IntervalSet
 _POINTS_PER_BAND = 16
 _RUNGS = (256, 1024, 4096, 16384)
 _BLOCK_POINTS = 16384  # grid points per block of the scan, and brackets refined together
-_STEP_ULPS = 4  # a root stops once its step is at most this times |root| * 2**-52
+_STEP_ULPS = 4  # a root stops once its step is at most this times max(|root|, 1) * 2**-52
 _REFINE_PASSES = 12  # interpolation passes before a root is proved as it stands
 _MULLER_AGAIN = 3  # the pass from which Muller's steps replace secant steps
 _MAX_LEVEL = 30  # deepest level built; time and memory grow about 1.6x per level
@@ -205,9 +208,11 @@ def _refine_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
     steps follow, and Muller's again from pass ``_MULLER_AGAIN`` on, for the
     few roots that creep towards a near-tangency.  Every pass keeps the sign
     bracket, and a step that would leave it bisects it instead.  A root
-    stops once its step is at most ``_STEP_ULPS`` * |root| * 2**-52, four
-    to eight ulps, or after ``_REFINE_PASSES`` passes, at its last point:
-    an end of its bracket.
+    stops once its step is at most ``_STEP_ULPS`` * max(|root|, 1) * 2**-52,
+    four to eight ulps, or as many ulps of 1 where |root| < 1, or after
+    ``_REFINE_PASSES`` passes, at its last point: an end of its bracket.
+    The floor at 1 matters near E = 0, where the rounding of x_k cannot
+    settle a step to a few ulps of E.
 
     One batched pass then evaluates x_k at the float next to each root,
     towards the other end of its bracket.  Where the sign changes between
@@ -243,7 +248,7 @@ def _refine_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
             else:
                 step = g * (r - x1) / (g - f1)
             x0, f0, x1, f1 = x1, f1, r, g
-            still |= np.abs(step) <= np.abs(r) * ulps
+            still |= np.abs(step) <= np.fmax(np.abs(r), 1.0) * ulps
             n_still = np.count_nonzero(still)
             if n_still == still.size or p == _REFINE_PASSES - 1:
                 break

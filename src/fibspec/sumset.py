@@ -17,14 +17,17 @@ rule for the factor estimates and the sum estimate makes the finite-depth
 transients largely cancel in the reported gap.
 
 A sum is formed one merge window of pair sums at a time (_sum_chunks),
-and its components come out in order.  minkowski_sum joins them into an
-IntervalSet; the sum check box-counts them as they stream past, so its
-memory is bounded by the window, and it holds the finest sum's cover
-only when its caller will list it.
+and its components come out in order.  The window edges are quantiles of
+a strided sample of about a thousand pair sums per window, so placing
+them costs in proportion to the windows.  minkowski_sum joins the
+components into an IntervalSet; the sum check box-counts them as they
+stream past, so its memory is bounded by the window, and it holds the
+finest sum's cover only when its caller will list it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -44,7 +47,8 @@ forms each unordered pair once.  A bound on the work; the memory is
 bounded by the merge window and whatever output is held."""
 
 _WINDOW_PAIRS = 1 << 16  # pair sums merged together by _sum_chunks
-_SAMPLE_SIDE = 256  # window edges come from at most 256**2 sampled sums
+_SAMPLE_PER_WINDOW = 1024  # sampled sums per window placed by _window_edges
+_SAMPLE_SIDE = 256  # ... and at most 256**2 sampled sums in all
 
 CROSS_CHECK_TOL = 0.05
 """Disagreement between the box estimate and the partition-exponent
@@ -144,12 +148,15 @@ def _sum_chunks(a: IntervalSet, b: IntervalSet
 
 def _window_edges(a_lo: np.ndarray, b_lo: np.ndarray, n_pairs: int) -> np.ndarray:
     """Left-endpoint edges that split n_pairs pair sums into windows of
-    about _WINDOW_PAIRS each, from quantiles of a strided sample."""
+    about _WINDOW_PAIRS each, from quantiles of a strided sample of about
+    _SAMPLE_PER_WINDOW sums per window.  Windows only split the work: the
+    sum is the same for any edges."""
     n_windows = -(-n_pairs // _WINDOW_PAIRS)
     if n_windows <= 1:
         return np.empty(0)
-    sample = np.sort(np.add.outer(a_lo[::-(-a_lo.size // _SAMPLE_SIDE)],
-                                  b_lo[::-(-b_lo.size // _SAMPLE_SIDE)]),
+    side = min(_SAMPLE_SIDE, math.isqrt(_SAMPLE_PER_WINDOW * n_windows))
+    sample = np.sort(np.add.outer(a_lo[::-(-a_lo.size // side)],
+                                  b_lo[::-(-b_lo.size // side)]),
                      axis=None)
     return np.unique(sample[np.arange(1, n_windows) * sample.size // n_windows])
 

@@ -4,6 +4,8 @@ Everything here is deliberately naive: brute-force grids and literal
 recursions, no reuse of the library's band-finding or word logic.
 """
 
+import argparse
+import itertools
 import json
 import math
 
@@ -12,7 +14,7 @@ import numpy as np
 from fibspec import (IntervalSet, LinearIFS, Point3, TheoremReport,
                      apply_map, band_hierarchy, box_dim_regression,
                      fibonacci_number, invariant_gradient, minkowski_sum)
-from fibspec import sumset
+from fibspec import cli, sumset
 from fibspec.errors import BandIsolationError, EigenvalueSeparationError
 from fibspec.spectrum import LADDER_LEVELS
 
@@ -455,6 +457,36 @@ def per_value_to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def one_piece_csv_table(header: list[str], rows: list[list]) -> str:
+    """CSV text as cli rendered it before it wrote row blocks: each row
+    by one %-format of a template for all its lines, over a tuple of
+    every value."""
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        fields, columns, n = [], [], 1
+        for v in row:
+            if isinstance(v, np.ndarray):
+                if v.dtype.kind == "f":
+                    if not np.isfinite(v).all():
+                        raise ValueError("non-finite value in output document")
+                    fields.append("%.17g")
+                else:
+                    fields.append("%d")
+                columns.append(v.tolist())
+                n = v.size
+            elif isinstance(v, str):
+                fields.append(v.replace("%", "%%"))
+            elif v is None:
+                fields.append("")
+            elif isinstance(v, (int, np.integer)):
+                fields.append(str(int(v)))
+            else:
+                fields.append(per_value_format_float(v))
+        template = (",".join(fields) + "\n") * n
+        lines.append(template % tuple(itertools.chain.from_iterable(zip(*columns))))
+    return "".join(lines)
+
+
 def per_value_csv_table(header: list[str], rows: list[list]) -> str:
     """CSV text, one cell at a time.  A row with array cells is first
     spread into one row per element, its other cells repeated."""
@@ -475,6 +507,25 @@ def per_value_csv_table(header: list[str], rows: list[list]) -> str:
             for i in range(n)]
         lines.extend(",".join(cell(v) for v in r) for r in spread)
     return "\n".join(lines) + "\n"
+
+
+def all_commands_parser() -> argparse.ArgumentParser:
+    """The parser cli built for every argv before it built only the
+    invoked command's: every command's subparser, whatever argv holds."""
+    parser = cli._Parser(prog="fibspec",
+                         description="Trace-map spectra, certified band covers, "
+                                     "dimension estimators, and sum-set checks.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=cli._Parser)
+    for name, command in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for f in command.flags:
+            p.add_argument(f.name, **f.options)
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="output format (csv only for interval sets and sweeps)")
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help="write output to PATH atomically instead of stdout")
+    return parser
 
 
 # ----------------------------------------------------------------------

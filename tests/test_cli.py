@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import dataclasses
 import json
@@ -248,7 +249,8 @@ def test_json_output_renders_no_csv(argv, monkeypatch, capsys):
 def test_non_finite_output_value_exits_one(fmt, monkeypatch, capsys):
     for bad in (math.inf, np.array([0.5, math.nan]), np.array([-math.inf, 1.0])):
         def payload(**kwargs):
-            return ({}, {"x": bad}, [], lambda: cli._csv_table(["x"], [[bad]]))
+            return ({}, {"x": bad}, [],
+                    lambda write: cli._csv_table(["x"], [[bad]], write))
         monkeypatch.setitem(cli._COMMANDS, "spectrum", dataclasses.replace(
             cli._COMMANDS["spectrum"], payload=payload))
         argv = ["spectrum", "--lambda", "5", "--k", "3", "--format", fmt]
@@ -394,6 +396,12 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 0.1, 1e16, 1 / 3, 2.0 ** -1022, 123.0]
 
 
+def csv_text(header, rows) -> str:
+    parts = []
+    cli._csv_table(header, rows, parts.append)
+    return "".join(parts)
+
+
 def _random_doubles(n: int) -> np.ndarray:
     """Finite doubles from uniformly random bit patterns (seeded)."""
     bits = np.random.default_rng(12).integers(0, 2 ** 64, n, dtype=np.uint64)
@@ -411,7 +419,7 @@ def test_bulk_rendering_matches_per_value_rendering(values):
     rows = [["s", np.arange(values.size), values, values[::-1]],
             ["t", 7, None, values[0]], ["empty", np.arange(0), values[:0], values[:0]]]
     header = ["set", "index", "lo", "hi"]
-    assert cli._csv_table(header, rows) == oracles.per_value_csv_table(header, rows)
+    assert csv_text(header, rows) == oracles.per_value_csv_table(header, rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -429,7 +437,8 @@ def test_documents_match_per_value_rendering(argv, monkeypatch, capsys):
     code, bulk = run(argv, capsys)
     assert code == 0
     monkeypatch.setattr(cli, "to_json", oracles.per_value_to_json)
-    monkeypatch.setattr(cli, "_csv_table", oracles.per_value_csv_table)
+    monkeypatch.setattr(cli, "_csv_table", lambda header, rows, write: write(
+        oracles.per_value_csv_table(header, rows)))
     code, per_value = run(argv, capsys)
     assert code == 0
     assert bulk == per_value
@@ -673,3 +682,137 @@ def test_importing_the_cli_loads_no_process_pool():
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+# ----------------------------------------------------------------------
+# One parser per call: a command's argv builds only that command's
+# subparser, and parses exactly as the all-commands parser did
+# ----------------------------------------------------------------------
+
+def _parse(parser, argv, capsys):
+    """Exit code, stdout and stderr of parsing argv: 1 for a usage error,
+    argparse's own code where it exits (-h), 0 where it parses."""
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except cli._UsageError:
+        code = 1
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _required_argv(name: str, leave_out: str | None = None) -> list[str]:
+    """name with a valid value for every required flag but leave_out."""
+    argv = [name]
+    for f in cli._COMMANDS[name].flags:
+        if f.options.get("required") and f.name != leave_out:
+            choices = f.options.get("choices")
+            argv += [f.name, choices[0] if choices else "3"]
+    return argv
+
+
+def _parser_argvs() -> list[list[str]]:
+    argvs = [[], ["-h"], ["nope"], ["--format", "csv"]]
+    for name, command in cli._COMMANDS.items():
+        argvs += [[name, "--bogus"], [name, "-h"], [name, command.flags[0].name],
+                  [*_required_argv(name), "extra"], [name, "--format", "xml"]]
+        argvs += [_required_argv(name, f.name) for f in command.flags
+                  if f.options.get("required")]
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _parser_argvs(), ids=" ".join)
+def test_parser_of_one_command_parses_as_all_commands_parser(argv, capsys):
+    got = _parse(cli.build_parser(argv), argv, capsys)
+    assert got == _parse(oracles.all_commands_parser(), argv, capsys)
+    if got[0] == 1:
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", got[2])
+
+
+def test_parser_holds_only_the_invoked_command():
+    def names(argv):
+        parser = cli.build_parser(argv)
+        return list(next(a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)).choices)
+
+    for name in cli._COMMANDS:
+        assert names([name, "--k", "3"]) == [name]
+    for argv in ([], ["-h"], ["nope", "sum"], ["--format", "sum"]):
+        assert names(argv) == list(cli._COMMANDS)
+
+
+# ----------------------------------------------------------------------
+# CSV tables written in blocks of lines
+# ----------------------------------------------------------------------
+
+def test_csv_rows_written_in_blocks(monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_LINES", 7)
+    values = np.linspace(-1.0, 1.0, 20)
+    rows = [["a", np.arange(20), values, values[::-1]], ["b", 3, None, 0.5],
+            ["c", np.arange(0), values[:0], values[:0]],
+            ["d", np.arange(7), values[:7], values[:7]]]
+    parts = []
+    cli._csv_table(["set", "index", "lo", "hi"], rows, parts.append)
+    assert [p.count("\n") for p in parts] == [1, 7, 7, 6, 1, 7]
+    assert "".join(parts) == oracles.one_piece_csv_table(
+        ["set", "index", "lo", "hi"], rows)
+
+
+def _one_piece(header, rows, write):
+    write(oracles.one_piece_csv_table(header, rows))
+
+
+@pytest.mark.parametrize("argv, block", [
+    (["spectrum", "--lambda", "5", "--k", "9", "--format", "csv"], 7),
+    (["ifs", "--ratios", "0.25,0.25", "--offsets", "0,0.75", "--depth", "6",
+      "--format", "csv"], 5),
+    (["sweep", "--command", "spectrum", "--start", "2", "--stop", "5",
+      "--count", "4", "--k", "6", "--format", "csv"], 1),
+    (["sum", "--lambda", "20", "--k", "12", "--format", "csv"], None),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else str(a))
+def test_csv_blocks_match_one_piece_rendering(argv, block, tmp_path,
+                                              monkeypatch, capsys):
+    """Through stdout and through --out, a table of several blocks is
+    byte for byte the one-piece rendering."""
+    if block is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_LINES", block)
+    code, blocked = run(argv, capsys)
+    assert code == 0
+    assert blocked.count("\n") > 2 * cli._CSV_BLOCK_LINES
+    target = tmp_path / "o.csv"
+    assert cli.main([*argv, "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_text() == blocked
+    monkeypatch.setattr(cli, "_csv_table", _one_piece)
+    assert run(argv, capsys) == (0, blocked)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_non_finite_in_last_block_refused_before_first_byte(to_file, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_LINES", 4)
+    lo = np.arange(10.0)
+    hi = lo + 0.5
+    hi[-1] = math.nan
+
+    def payload(**kwargs):
+        return ({}, {}, [], lambda write: cli._csv_table(
+            ["set", "index", "lo", "hi"],
+            [["a", np.arange(10), lo, lo + 0.5], ["b", np.arange(10), lo, hi]],
+            write))
+
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", dataclasses.replace(
+        cli._COMMANDS["spectrum"], payload=payload))
+    argv = ["spectrum", "--lambda", "5", "--k", "3", "--format", "csv"]
+    if to_file:
+        argv += ["--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fibspec: invalid arguments: non-finite value in "
+                            "output document\n")
+    assert list(tmp_path.iterdir()) == []

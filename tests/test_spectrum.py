@@ -392,6 +392,32 @@ def test_weak_coupling_refined_quietly_and_no_slower(lam, k, bisection_calls, mo
     assert len(log) <= bisection_calls
 
 
+def test_no_refinement_runs_to_the_pass_cap(monkeypatch):
+    """A root stops at a step of a few ulps of max(|E|, 1).  With the
+    floor at |E| alone, roots near E = 0 never stopped: at (0.5, 21)
+    eleven refinements ran all _REFINE_PASSES passes, and the hierarchy
+    made 330 kernel calls.  A refinement takes a Muller step at pass 0 and
+    at every pass from _MULLER_AGAIN on, so its Muller steps count its
+    passes."""
+    muller, refine, steps = spectrum._parabola_step, spectrum._refine_roots, []
+
+    def counted_muller(*args):
+        steps[-1] += 1
+        return muller(*args)
+
+    def marked(*args):
+        steps.append(0)
+        return refine(*args)
+
+    monkeypatch.setattr(spectrum, "_parabola_step", counted_muller)
+    monkeypatch.setattr(spectrum, "_refine_roots", marked)
+    log = count_kernel_calls(monkeypatch)
+    assert len(band_hierarchy(0.5, 21)[21]) == fibonacci_number(21)
+    assert len(steps) == 24
+    assert max(steps) < 1 + spectrum._REFINE_PASSES - spectrum._MULLER_AGAIN
+    assert len(log) == 257
+
+
 def test_refinement_memory_stays_below_global_bisection():
     """The brackets of level 21 at (5, 21), 35,422 of them, are refined in
     blocks; bisecting them all at once peaked at 7.62 MB traced."""

@@ -422,13 +422,15 @@ def test_streamed_sum_matches_materialized_sum(monkeypatch):
     assert joins > 1000  # windows swallowed whole by the component before
 
 
-REFERENCE_SUMS = [
+BENCHMARK_SUMS = [  # the sum argvs of perfbench's square_sum workload
     ["sum", "--lambda", "20", "--k", "14"],
     ["sum", "--lambda", "5", "--k", "14"],
     ["sum", "--lambda", "20", "--lambda2", "30", "--k", "13"],
     ["sum", "--lambda", "0.5", "--k", "14"],
     ["sum", "--lambda", "20", "--k", "12"],
     ["sum", "--lambda", "20", "--lambda2", "30", "--k", "12"],
+]
+REFERENCE_SUMS = BENCHMARK_SUMS + [
     ["sum", "--lambda", "20", "--k", "12", "--format", "csv"],
     ["sum", "--lambda", "0.5", "--k", "14", "--format", "csv"],
     ["sum", "--lambda", "20", "--lambda2", "30", "--k", "12", "--format", "csv"],
@@ -459,3 +461,28 @@ def test_each_ladder_sum_formed_once(fmt, monkeypatch, capsys):
     assert cli.main(["sum", "--lambda", "5", "--k", "10", "--format", fmt]) == 0
     capsys.readouterr()
     assert sum(merged) == sum(len(c) * (len(c) + 1) // 2 for c in covers)
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_SUMS, ids=" ".join)
+def test_sampled_windows_stay_near_the_window_size(argv, monkeypatch):
+    """The window edges come from a sample of about _SAMPLE_PER_WINDOW
+    sums per window; every window of the benchmark's ladder sums stays
+    within 5% of _WINDOW_PAIRS."""
+    lam = float(argv[2])
+    lam2 = float(argv[4]) if "--lambda2" in argv else lam
+    k = int(argv[-1])
+    normalize, windows = sumset._normalize, []
+
+    def counting_normalize(lo, hi):
+        windows.append(lo.size)
+        return normalize(lo, hi)
+
+    monkeypatch.setattr(sumset, "_normalize", counting_normalize)
+    covers1 = band_hierarchy(lam, k + 1).ladder(k)[1]
+    covers2 = covers1 if lam2 == lam else band_hierarchy(lam2, k + 1).ladder(k)[1]
+    for a, b in zip(covers1, covers2):
+        windows.clear()
+        for _ in sumset._sum_chunks(a, b):
+            pass
+        assert sum(windows) == sumset._charged_pairs(a, b)
+        assert max(windows) <= 1.05 * sumset._WINDOW_PAIRS
