@@ -15,8 +15,7 @@ from .intervals import IntervalSet
 from .periodic import (PeriodicPointInfo, log_ratio, orbit_info,
                        scan_exceptional)
 from .spectrum import BandHierarchy, band_hierarchy, fibonacci_number
-from .sumset import (TheoremReport, check_theorem_rect, ladder_dimension,
-                     minkowski_sum)
+from .sumset import TheoremReport, check_theorem_rect, ladder_dimension
 from .tracemap import Point3, apply_map, invariant, invariant_gradient
 
 __version__ = "0.1.0"
@@ -49,7 +48,6 @@ __all__ = [
     "ladder_dimension",
     "log_ratio",
     "log_ratio_resonance",
-    "minkowski_sum",
     "orbit_info",
     "scan_exceptional",
     "similarity_dim",

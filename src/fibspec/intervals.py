@@ -129,7 +129,7 @@ class IntervalSet:
 def _normalize(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge [lo[i], hi[i]] into the normal form, sorting lo and hi in
     place: callers pass arrays they own (IntervalSet(...) and from_arrays
-    copy, minkowski_sum passes temporaries).  Sorted apart, a component
+    copy, _sum_chunks passes temporaries).  Sorted apart, a component
     starts at each m with lo[m] > hi[m-1].  Exact, because for x in a gap
     the intervals with lo <= x are those with hi < x; so each component
     gets its smallest lo and largest hi, and touching intervals merge.

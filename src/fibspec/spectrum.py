@@ -324,7 +324,8 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
     bracket (about ``_BLOCK_POINTS`` brackets at a time, each on its own).
     ``points`` is one grid size for every parent or one per parent; parent
     p's grid is lo_p + width_p * np.linspace(0, 1, points[p]) in whichever
-    block it falls.
+    block it falls, with its last point hi_p, so no point lies outside
+    the parent.
 
     One sort of every parent end and every root cuts the line into cells.
     A cell that ends past the hi of the parent it starts in is a gap
@@ -350,12 +351,13 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
         n = points[p0:p1]
         owner = np.repeat(np.arange(p1 - p0), n)
         last = ends[p0:p1] - starts[p0] - 1  # each parent's last point in the block
-        # j * (1 / (n - 1)) with the last point set to 1 is np.linspace(0, 1, n)
+        # lo + width * j * (1 / (n - 1)), with the last point set to hi:
+        # lo + width * 1.0 can round past hi
         grid = np.arange(owner.size) - (starts[p0:p1] - starts[p0])[owner]
         grid = grid * (1.0 / (n - 1))[owner]
-        grid[last] = 1.0
         grid *= widths[p0:p1][owner]
         grid += parents.lo[p0:p1][owner]
+        grid[last] = parents.hi[p0:p1]
         vals = _half_trace(lam, grid, k)
         for shift in (1.0, -1.0):
             gp = vals > shift

@@ -19,10 +19,10 @@ transients largely cancel in the reported gap.
 A sum is formed one merge window of pair sums at a time (_sum_chunks),
 and its components come out in order.  The window edges are quantiles of
 a strided sample of about a thousand pair sums per window, so placing
-them costs in proportion to the windows.  minkowski_sum joins the
-components into an IntervalSet; the sum check box-counts them as they
-stream past, so its memory is bounded by the window, and it holds the
-finest sum's cover only when its caller will list it.
+them costs in proportion to the windows.  The sum check box-counts the
+components as they stream past, so its memory is bounded by the window,
+and it joins the finest sum's windows into a cover only when its caller
+will list it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dimension import (DimensionEstimate, _cell_sizes, _count_cells,
-                        _count_regression, box_count, box_dim_regression,
+                        _count_regression, box_dim_regression,
                         solve_partition_exponent)
 from .errors import SizeCapError
 from .intervals import IntervalSet, _normalize
@@ -61,27 +61,12 @@ EXCEPTIONAL_CAVEAT = (
 
 
 def _charged_pairs(a: IntervalSet, b: IntervalSet) -> int:
-    """The pair sums minkowski_sum(a, b) forms, each unordered pair once
+    """The pair sums _sum_chunks(a, b) forms, each unordered pair once
     when b is a; SizeCapError when they exceed SUM_PAIR_CAP."""
     n_pairs = len(a) * (len(a) + 1) // 2 if a is b else len(a) * len(b)
     if n_pairs > SUM_PAIR_CAP:
         raise SizeCapError("pairwise interval sums", n_pairs, SUM_PAIR_CAP)
     return n_pairs
-
-
-def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """All pairwise sums of components of a and b, merged; refused when
-    the pairs it forms exceed SUM_PAIR_CAP.
-
-    The pairs are formed and merged one window of left endpoints at a
-    time (see _sum_chunks), so the work memory is bounded by the window;
-    the result is the windows' components, joined in order.  A self-sum
-    (b is a) forms only the n(n+1)/2 pairs j >= i, and is charged that
-    many against the cap: fl(a_i + a_j) == fl(a_j + a_i), so the union
-    is the same.  The endpoints are the floats a.lo[i] + b.lo[j] and
-    a.hi[i] + b.hi[j].
-    """
-    return _joined(_sum_chunks(a, b))
 
 
 def _joined(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> IntervalSet:
@@ -93,9 +78,15 @@ def _joined(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> IntervalSet:
 
 def _sum_chunks(a: IntervalSet, b: IntervalSet
                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The components of minkowski_sum(a, b) in order, as (lo, hi) arrays
-    of one merge window each; nothing is formed before the first item is
-    asked for.
+    """All pairwise sums of components of a and b, merged, as (lo, hi)
+    arrays of one merge window each, in order; refused when the pairs it
+    forms exceed SUM_PAIR_CAP.  Nothing is formed, or refused, before the
+    first item is asked for.
+
+    A self-sum (b is a) forms only the n(n+1)/2 pairs j >= i, and is
+    charged that many against the cap: fl(a_i + a_j) == fl(a_j + a_i),
+    so the union is the same.  The endpoints are the floats
+    a.lo[i] + b.lo[j] and a.hi[i] + b.hi[j].
 
     Each window of pair sums is merged in place by intervals._normalize,
     as IntervalSet.from_arrays merges.  Its leading components that reach
@@ -105,7 +96,7 @@ def _sum_chunks(a: IntervalSet, b: IntervalSet
     final.
     """
     if not a or not b:
-        raise ValueError("minkowski_sum requires two non-empty interval sets")
+        raise ValueError("a Minkowski sum requires two non-empty interval sets")
     n_pairs = _charged_pairs(a, b)
     self_sum = a is b
     if len(a) > len(b):
@@ -314,33 +305,32 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
 
 def _finest_sum(a: IntervalSet, b: IntervalSet, eps: float, cap: int | None):
     """Box count at eps, component count, hull, total length and cover of
-    a + b.  With cap None the cover is wanted whole, and minkowski_sum
-    forms it.  Otherwise the sum streams past once and its cover is None
-    if it has more than cap components; its windows are dropped as soon
-    as they hold more.  The streamed total length sums one array of every
-    component's length, so it is the float minkowski_sum(a, b).total_length.
+    a + b, from one pass over its windows.  The cover is None if it has
+    more than cap components (None: keep every window); the windows are
+    dropped as soon as they hold more.  The total length is np.sum of one
+    array of every component's length.
     """
-    if cap is None:
-        cover = minkowski_sum(a, b)
-        return (box_count(cover, eps), len(cover), cover.hull,
-                cover.total_length, cover)
     # A sum has at most as many components as pairs; the pages past the
     # count are never written, so they are never resident.
     lengths = np.empty(_charged_pairs(a, b))
-    count, ends, kept = 0, [], []
+    count, hull, kept = 0, [0.0, 0.0], []
 
     def tap():
         nonlocal count, kept
         for lo, hi in _sum_chunks(a, b):
+            if not count:
+                hull[0] = float(lo[0])
+            hull[1] = float(hi[-1])
             np.subtract(hi, lo, out=lengths[count:count + lo.size])
             count += lo.size
-            ends.append((float(lo[0]), float(hi[-1])))
             if kept is not None:
                 kept.append((lo, hi))
-                if count > cap:
+                if cap is not None and count > cap:
                     kept = None
             yield lo, hi
 
     boxes = _count_cells(tap(), eps)
-    return (boxes, count, (ends[0][0], ends[-1][1]),
-            float(np.sum(lengths[:count])), None if kept is None else _joined(kept))
+    total_length = float(np.sum(lengths[:count]))
+    del lengths  # its written pages are resident; free them before joining
+    return (boxes, count, tuple(hull), total_length,
+            None if kept is None else _joined(kept))

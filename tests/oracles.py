@@ -13,7 +13,7 @@ import numpy as np
 
 from fibspec import (IntervalSet, LinearIFS, Point3, TheoremReport,
                      apply_map, band_hierarchy, box_dim_regression,
-                     fibonacci_number, invariant_gradient, minkowski_sum)
+                     fibonacci_number, invariant_gradient)
 from fibspec import cli, sumset
 from fibspec.errors import BandIsolationError, EigenvalueSeparationError
 from fibspec.spectrum import LADDER_LEVELS
@@ -357,6 +357,14 @@ def argsort_normalize(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     starts[1:] = lo[1:] > run_hi[:-1]
     first = np.flatnonzero(starts)
     return lo[first], np.maximum.reduceat(hi, first)
+
+
+def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    """a + b as the package forms it: the merge windows of
+    sumset._sum_chunks, joined in order.  A harness for tests that need a
+    sum as one set, not an independent reference (all_pairs_minkowski_sum
+    is that)."""
+    return sumset._joined(sumset._sum_chunks(a, b))
 
 
 def all_pairs_minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:

@@ -16,14 +16,13 @@ import pytest
 from fibspec import (Point3, attractor_cover, band_hierarchy,
                      box_dim_regression, check_theorem_rect, eigenvalues,
                      fibonacci_number, fibonacci_tridiagonal, invariant,
-                     log_ratio, minkowski_sum, orbit_info,
-                     solve_partition_exponent)
+                     log_ratio, orbit_info, solve_partition_exponent)
 from fibspec import cli
 from fibspec.periodic import _orbit, _restricted_jacobian, _tangent_frame
 from fibspec.spectrum import _half_trace
 
 from oracles import (MIDDLE_THIRDS, QUARTER_CORNERS, covers, dense_band_count,
-                     pairs)
+                     minkowski_sum, pairs)
 
 
 def _passed(tag: str, detail: str):

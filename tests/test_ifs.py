@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from fibspec import (LinearIFS, attractor_cover, box_dim_regression,
-                     log_ratio_resonance, minkowski_sum, similarity_dim)
+                     log_ratio_resonance, similarity_dim)
 from fibspec.errors import SizeCapError
 
 import oracles
-from oracles import BINARY_HALVES, MIDDLE_THIRDS, QUARTER_CORNERS, pairs
+from oracles import (BINARY_HALVES, MIDDLE_THIRDS, QUARTER_CORNERS,
+                     minkowski_sum, pairs)
 
 
 def test_middle_thirds_first_level():

@@ -503,6 +503,26 @@ def test_scan_clips_a_band_to_its_parent():
     assert got.hi[-1] == hi
 
 
+def test_scan_evaluates_only_inside_the_parent(monkeypatch):
+    """Where lo + (hi - lo) rounds one float past hi, the grid's last point
+    is hi itself, so no x_k is evaluated outside the parent: neither on
+    the grid nor in a bracket or a cell midpoint."""
+    lo, hi = -0.27, np.nextafter(4.083201684951323, -np.inf)
+    assert lo + (hi - lo) > hi
+    evaluated = []
+    half_trace = spectrum._half_trace
+
+    def recording(lam, E, k):
+        evaluated.append(np.array(E, dtype=float).ravel())
+        return half_trace(lam, E, k)
+
+    monkeypatch.setattr(spectrum, "_half_trace", recording)
+    got = spectrum._scan_parents(5.0, 12, IntervalSet([(lo, hi)]), 256, 1e-12)
+    E = np.concatenate(evaluated)
+    assert len(got) > 0 and E.size > 256
+    assert np.all((lo <= E) & (E <= hi))
+
+
 @pytest.mark.parametrize("lam", [0.05, 0.5, 2.0, 20.0])
 def test_every_band_inside_one_parent(lam):
     """Each band of sigma_k lies inside one merged band of
