@@ -55,8 +55,14 @@ def box_count(s: IntervalSet, eps: float) -> int:
     double precision; a single-point component meets exactly one cell.
     The rule is a closed-set intersection count: an endpoint sitting on a
     cell boundary occupies the cell to its right, which can add one cell
-    beyond the positive-length overlaps.  Components are counted in
+    beyond the positive-length overlaps.  Components are sorted and
+    disjoint, so one shares at most its first cell, with the last cell of
+    the one before it (see _count_cells).  Components are counted in
     blocks, so the temporaries do not grow with the size of s.
+
+    ValueError once |x|/eps reaches 2**53 for an endpoint x: past that
+    precision floor the float quotients no longer tell neighbouring
+    cells apart.
     """
     return _count_cells(((s.lo[i:i + _BLOCK_COMPONENTS],
                           s.hi[i:i + _BLOCK_COMPONENTS])
@@ -66,22 +72,36 @@ def box_count(s: IntervalSet, eps: float) -> int:
 def _count_cells(chunks: Iterable[tuple[np.ndarray, np.ndarray]],
                  eps: float) -> int:
     """box_count of the set whose components, in order, are the (lo, hi)
-    arrays of chunks: any split of a normalized set into consecutive
-    runs gives the same count, so a set can be counted as it streams."""
+    arrays of the non-empty chunks: any split of a normalized set into
+    consecutive runs gives the same count, so a set can be counted as it
+    streams.
+
+    The components are trusted to be in normal form, sorted and
+    disjoint, as every caller's are.  Then j0 = floor(lo/eps) and
+    j1 = floor(hi/eps) never decrease along the set, because division by
+    eps and floor are monotone even when rounded.  So component i meets
+    cells j0[i] .. j1[i], and can share only j0[i], only with j1[i-1],
+    also across chunks: the count is the sum of j1 - j0 + 1 less the
+    number of i with j0[i] == j1[i-1].  The first and last ends of each
+    chunk bound the rest, so they alone are tested against the precision
+    floor.
+    """
     if eps <= 0 or not math.isfinite(eps):
         raise ValueError("cell size must be positive and finite")
-    # Components are sorted, so cell runs can only overlap earlier runs;
-    # clip each run to start past the highest cell counted so far, which
-    # carries from chunk to chunk.
     total = 0
-    reach = np.iinfo(np.int64).min
+    last = None  # the last cell of the previous chunk
     for lo, hi in chunks:
+        if max(-float(lo[0]), float(hi[-1])) / eps >= 2.0**53:
+            raise ValueError(
+                f"cell size {eps!r} is past the precision floor: |x|/eps "
+                "reaches 2**53 at an endpoint x, where float cell indices "
+                "no longer tell neighbouring cells apart")
         j0 = np.floor(lo / eps).astype(np.int64)
         j1 = np.floor(hi / eps).astype(np.int64)
-        prev_max = np.maximum.accumulate(np.concatenate([[reach], j1]))
-        start = np.maximum(j0, prev_max[:-1] + 1)
-        total += int(np.sum(np.maximum(0, j1 - start + 1)))
-        reach = prev_max[-1]
+        total += (int(np.sum(j1 - j0)) + j0.size
+                  - int(np.count_nonzero(j0[1:] == j1[:-1]))
+                  - (int(j0[0]) == last))
+        last = int(j1[-1])
     return total
 
 

@@ -7,6 +7,13 @@ with touching endpoints merged (so hi[i] < lo[i+1] strictly), and zero
 endpoints written +0.0.  Degenerate single-point components [a, a] are
 legal and preserved unless a merge swallows them.  Every constructor
 merges by sorting left and right endpoints apart (see _normalize).
+
+The constructors validate: _normalize refuses non-finite endpoints and
+reversed intervals before it merges, and turns -0.0 into +0.0.  The
+merge itself (_merge) trusts its input, so a caller whose endpoints are
+finite, ordered and never -0.0 by construction, as the pair sums of
+sumset._sum_chunks are, merges without the checks; the result is the
+same normal form.
 """
 
 from __future__ import annotations
@@ -127,14 +134,11 @@ class IntervalSet:
 
 
 def _normalize(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge [lo[i], hi[i]] into the normal form, sorting lo and hi in
-    place: callers pass arrays they own (IntervalSet(...) and from_arrays
-    copy, _sum_chunks passes temporaries).  Sorted apart, a component
-    starts at each m with lo[m] > hi[m-1].  Exact, because for x in a gap
-    the intervals with lo <= x are those with hi < x; so each component
-    gets its smallest lo and largest hi, and touching intervals merge.
-    The sort breaks ties in no set order, so 0.0 is added to each end:
-    a zero endpoint is always +0.0, and no other float changes.
+    """Check [lo[i], hi[i]] and merge them into the normal form, sorting
+    lo and hi in place: callers pass arrays they own (IntervalSet(...)
+    and from_arrays copy).  Every endpoint must be finite and no interval
+    reversed; 0.0 is added to each merged end, so a zero endpoint is
+    always +0.0 and no other float changes.
     """
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise ValueError("endpoint arrays must be 1-d and equal length")
@@ -143,9 +147,27 @@ def _normalize(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(hi < lo):
         j = int(np.argmax(hi < lo))
         raise ValueError(f"reversed interval [{lo[j]}, {hi[j]}]")
+    lo, hi = _merge(lo, hi)
+    lo += 0.0
+    hi += 0.0
+    return lo, hi
+
+
+def _merge(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge [lo[i], hi[i]], sorting lo and hi in place, trusting that
+    every endpoint is finite and no interval is reversed.  Sorted apart,
+    a component starts at each m with lo[m] > hi[m-1].  Exact, because
+    for x in a gap the intervals with lo <= x are those with hi < x; so
+    each component gets its smallest lo and largest hi, and touching
+    intervals merge.  The sort breaks ties in no set order, so a zero end
+    keeps whichever sign landed there: the result is in the normal form
+    when no endpoint is -0.0.  _normalize checks its input and adds 0.0
+    to the result; sumset._sum_chunks passes pair sums that are finite,
+    ordered and never -0.0 by construction, so it needs neither.
+    """
     lo.sort()
     hi.sort()
     # cut[m] marks a boundary before position m; cut[0] and cut[n] always
     cut = np.ones(lo.size + 1, dtype=bool)
     np.greater(lo[1:], hi[:-1], out=cut[1:-1])
-    return lo[cut[:-1]] + 0.0, hi[cut[1:]] + 0.0
+    return lo[cut[:-1]], hi[cut[1:]]

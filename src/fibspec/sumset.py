@@ -17,8 +17,11 @@ rule for the factor estimates and the sum estimate makes the finite-depth
 transients largely cancel in the reported gap.
 
 A sum is formed one merge window of pair sums at a time (_sum_chunks),
-and its components come out in order.  The window edges are quantiles of
-a strided sample of about a thousand pair sums per window, so placing
+and its components come out in order.  The windows are merged without
+the constructors' checks, which the pair sums pass by construction: a
+test of the two extreme sums, made once before any window is formed,
+proves every pair sum finite.  The window edges are quantiles of a
+strided sample of about a thousand pair sums per window, so placing
 them costs in proportion to the windows.  The sum check box-counts the
 components as they stream past, so its memory is bounded by the window,
 and it joins the finest sum's windows into a cover only when its caller
@@ -37,7 +40,7 @@ from .dimension import (DimensionEstimate, _cell_sizes, _count_cells,
                         _count_regression, box_dim_regression,
                         solve_partition_exponent)
 from .errors import SizeCapError
-from .intervals import IntervalSet, _normalize
+from .intervals import IntervalSet, _merge
 from .spectrum import band_hierarchy
 
 SUM_PAIR_CAP = 10_000_000
@@ -88,16 +91,27 @@ def _sum_chunks(a: IntervalSet, b: IntervalSet
     so the union is the same.  The endpoints are the floats
     a.lo[i] + b.lo[j] and a.hi[i] + b.hi[j].
 
-    Each window of pair sums is merged in place by intervals._normalize,
-    as IntervalSet.from_arrays merges.  Its leading components that reach
-    back to the right end of the previous window's last component extend
-    that component, so a window is held back until the next window that
-    keeps a component of its own has been merged; what is yielded is
-    final.
+    Each window of pair sums is merged in place by intervals._merge, the
+    merge IntervalSet.from_arrays runs after its checks.  The pair sums
+    pass those checks by construction.  Rounding is monotone, so every
+    pair sum lies between fl(a.lo[0] + b.lo[0]) and
+    fl(a.hi[-1] + b.hi[-1]); these two are tested once, and if either is
+    not finite the sum is refused, with the constructors' ValueError,
+    before any window is formed.  For the same reason each pair's hi is
+    at least its lo.  Normal-form endpoints are never -0.0, and a float
+    sum is -0.0 only when both terms are, so no pair sum is -0.0.
+
+    A window's leading components that reach back to the right end of
+    the previous window's last component extend that component, so a
+    window is held back until the next window that keeps a component of
+    its own has been merged; what is yielded is final.
     """
     if not a or not b:
         raise ValueError("a Minkowski sum requires two non-empty interval sets")
     n_pairs = _charged_pairs(a, b)
+    if not (math.isfinite(float(a.lo[0]) + float(b.lo[0]))
+            and math.isfinite(float(a.hi[-1]) + float(b.hi[-1]))):
+        raise ValueError("interval endpoints must be finite")
     self_sum = a is b
     if len(a) > len(b):
         a, b = b, a  # rows are the shorter operand
@@ -120,8 +134,8 @@ def _sum_chunks(a: IntervalSet, b: IntervalSet
             continue
         offsets = np.cumsum(counts) - counts
         pair_col = np.arange(total) + np.repeat(lo_col - offsets, counts)
-        wlo, whi = _normalize(np.repeat(a.lo, counts) + b.lo[pair_col],
-                              np.repeat(a.hi, counts) + b.hi[pair_col])
+        wlo, whi = _merge(np.repeat(a.lo, counts) + b.lo[pair_col],
+                          np.repeat(a.hi, counts) + b.hi[pair_col])
         # Components that reach back to the right end of the held window's
         # last component continue it.
         if held is not None:

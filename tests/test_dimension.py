@@ -7,7 +7,7 @@ import oracles
 from oracles import minkowski_sum
 from fibspec import (DimensionEstimate, attractor_cover, box_count,
                      box_dim_regression, solve_partition_exponent)
-from fibspec import dimension
+from fibspec import dimension, sumset
 from fibspec.intervals import IntervalSet
 from fibspec.spectrum import band_hierarchy
 from fibspec.sumset import ladder_dimension
@@ -63,6 +63,78 @@ def test_box_count_rejects_bad_eps():
         box_count(s, -1.0)
     with pytest.raises(ValueError):
         box_count(s, math.inf)
+
+
+def test_box_count_refuses_cells_past_the_precision_floor(monkeypatch):
+    """From |x|/eps = 2**53 on, floor(x/eps) no longer tells neighbouring
+    cells apart, and past 2**63 it does not fit a cell index at all (an
+    int64 cast of it gives garbage and a RuntimeWarning)."""
+    s = IntervalSet([(0.0, 1.0), (2.0, 3.0)])
+    for block in (1, 64):  # the second block alone crosses at 3 / 2**53
+        monkeypatch.setattr(dimension, "_BLOCK_COMPONENTS", block)
+        for eps in (1e-19, 1e-300, 3.0 / 2**53):
+            with pytest.raises(ValueError, match="precision floor"):
+                box_count(s, eps)
+    with pytest.raises(ValueError, match="precision floor"):
+        box_count(IntervalSet([(-3.0, -2.0)]), 3.0 / 2**53)
+    assert box_count(IntervalSet([(0.0, 1.0)]), 2.0**-52) == 2**52 + 1
+    assert box_count(IntervalSet([(-1.0, 0.0)]), 2.0**-52) == 2**52 + 1
+
+
+def _chunks(s, cuts):
+    """The components of s as (lo, hi) chunks, cut before each index in cuts."""
+    edges = [0, *cuts, len(s)]
+    return [(s.lo[i:j], s.hi[i:j]) for i, j in zip(edges, edges[1:])]
+
+
+def _count_at_every_split(s, eps):
+    """The running-max count of s at eps, after checking that _count_cells
+    gives it for s whole, cut at each single position and cut everywhere."""
+    want = oracles.unblocked_box_count(s, eps)
+    assert dimension._count_cells(_chunks(s, []), eps) == want
+    for m in range(1, len(s)):
+        assert dimension._count_cells(_chunks(s, [m]), eps) == want
+    assert dimension._count_cells(_chunks(s, range(1, len(s))), eps) == want
+    return want
+
+
+def test_cell_count_matches_running_max_on_random_sets():
+    rng = np.random.default_rng(41)
+    for _ in range(80):
+        x = np.sort(rng.uniform(-3, 3, 2 * int(rng.integers(1, 15))))
+        if rng.random() < 0.5:
+            x = np.round(x * 4) / 4  # touching and point components
+        s = IntervalSet.from_arrays(x[::2], x[1::2])
+        for eps in (0.01, 0.3, 0.7, 5.0):
+            _count_at_every_split(s, eps)
+
+
+def test_cell_count_matches_running_max_on_cell_boundaries():
+    rng = np.random.default_rng(42)
+    for eps in (0.25, 0.1, 1 / 3, 2.0**-30):
+        for _ in range(20):
+            x = np.sort(rng.integers(-40, 40, 2 * int(rng.integers(1, 15)))) * eps
+            _count_at_every_split(IntervalSet.from_arrays(x[::2], x[1::2]), eps)
+
+
+def test_cell_count_matches_running_max_where_cells_are_shared():
+    """Cells far wider than the gaps: most components share their first
+    cell with the component before them."""
+    rng = np.random.default_rng(43)
+    x = np.sort(rng.uniform(-1, 1, 600))
+    s = IntervalSet.from_arrays(x[::2], x[1::2])
+    for eps in (0.05, 0.3, 2.0):
+        assert _count_at_every_split(s, eps) <= 2 / eps + 2
+
+
+def test_cell_count_of_streamed_ladder_sums_matches_running_max(monkeypatch):
+    monkeypatch.setattr(sumset, "_WINDOW_PAIRS", 50)
+    for c in band_hierarchy(5.0, 10).ladder(9)[1]:
+        s = oracles.all_pairs_minkowski_sum(c, c)
+        assert len(list(sumset._sum_chunks(c, c))) > 1
+        for eps in (c.max_length, s.max_length / 16, 1.0):
+            assert (dimension._count_cells(sumset._sum_chunks(c, c), eps)
+                    == oracles.unblocked_box_count(s, eps))
 
 
 def test_box_count_empty_set():

@@ -333,14 +333,14 @@ def test_self_sum_forms_each_unordered_pair_once(monkeypatch):
     cover = band_hierarchy(5.0, 11).cover(10)
     copy = IntervalSet.from_arrays(cover.lo.copy(), cover.hi.copy())
     merged = []
-    normalize = sumset._normalize
+    merge = sumset._merge
 
-    def counting_normalize(lo, hi):
+    def counting_merge(lo, hi):
         merged.append(lo.size)
-        return normalize(lo, hi)
+        return merge(lo, hi)
 
     monkeypatch.setattr(sumset, "_WINDOW_PAIRS", 500)
-    monkeypatch.setattr(sumset, "_normalize", counting_normalize)
+    monkeypatch.setattr(sumset, "_merge", counting_merge)
     self_sum = minkowski_sum(cover, cover)
     n = len(cover)
     assert sum(merged) == n * (n + 1) // 2
@@ -401,13 +401,13 @@ def test_streamed_sum_matches_materialized_sum(monkeypatch):
     sum are those of the all-pairs reference sum, bit for bit, and the
     cover is kept exactly when it has at most cap components."""
     rng = np.random.default_rng(19)
-    normalize, windows = sumset._normalize, []
+    merge, windows = sumset._merge, []
 
-    def counting_normalize(lo, hi):
+    def counting_merge(lo, hi):
         windows.append(lo.size)
-        return normalize(lo, hi)
+        return merge(lo, hi)
 
-    monkeypatch.setattr(sumset, "_normalize", counting_normalize)
+    monkeypatch.setattr(sumset, "_merge", counting_merge)
     joins = 0
     for _ in range(150):
         monkeypatch.setattr(sumset, "_WINDOW_PAIRS", int(rng.integers(1, 12)))
@@ -435,6 +435,63 @@ def test_streamed_sum_matches_materialized_sum(monkeypatch):
                 else:
                     assert cover is None
     assert joins > 1000  # windows swallowed whole by the component before
+
+
+def _assert_normal_windows(chunks):
+    """The windows are finite and sorted, strictly disjoint within a window
+    and across windows, and have no -0.0 endpoint."""
+    prev_hi = -np.inf
+    for lo, hi in chunks:
+        assert lo.size and lo.shape == hi.shape
+        assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+        assert np.all(lo <= hi)
+        assert lo[0] > prev_hi and np.all(lo[1:] > hi[:-1])
+        assert not np.any(np.signbit(lo)[lo == 0])
+        assert not np.any(np.signbit(hi)[hi == 0])
+        prev_hi = hi[-1]
+
+
+def test_windows_are_in_normal_form(monkeypatch):
+    """_sum_chunks merges without the constructors' checks; what it yields
+    must still be the normal form, zero ends included."""
+    rng = np.random.default_rng(29)
+    zeros = [IntervalSet([(-1.0, -0.5), (-0.0, -0.0), (0.5, 1.0)]),
+             IntervalSet([(-0.5, -0.25), (0.0, 0.0), (0.25, 0.5)]),
+             IntervalSet([(-0.75, -0.0), (0.75, 1.0)])]
+    for window in (1, 2, 5, 1 << 16):
+        monkeypatch.setattr(sumset, "_WINDOW_PAIRS", window)
+        for x in zeros:
+            for y in zeros:
+                _assert_normal_windows(sumset._sum_chunks(x, y))
+    for _ in range(100):
+        monkeypatch.setattr(sumset, "_WINDOW_PAIRS", int(rng.integers(1, 12)))
+        a = _random_set(rng, int(rng.integers(1, 25)))
+        b = _random_set(rng, int(rng.integers(1, 25)))
+        for x, y in ((a, a), (a, b), (b, a)):
+            _assert_normal_windows(sumset._sum_chunks(x, y))
+
+
+def test_overflowing_sum_refused_before_any_window(monkeypatch):
+    """Pair sums past the float range are refused by one test of the two
+    extreme sums, before a window is formed, even where the first
+    windows hold only finite sums."""
+    merge, merged = sumset._merge, []
+
+    def counting_merge(lo, hi):
+        merged.append(lo.size)
+        return merge(lo, hi)
+
+    monkeypatch.setattr(sumset, "_merge", counting_merge)
+    monkeypatch.setattr(sumset, "_WINDOW_PAIRS", 3)
+    high = IntervalSet([(float(i), i + 0.5) for i in range(30)]
+                       + [(1.7e308, 1.75e308)])
+    low = IntervalSet.from_arrays(-high.hi, -high.lo)
+    for x, y in ((high, high), (low, low),
+                 (high, IntervalSet.from_arrays(high.lo, high.hi))):
+        chunks = sumset._sum_chunks(x, y)
+        with pytest.raises(ValueError, match="interval endpoints must be finite"):
+            next(chunks)
+    assert merged == []
 
 
 BENCHMARK_SUMS = [  # the sum argvs of perfbench's square_sum workload
@@ -465,14 +522,14 @@ def test_streamed_documents_match_materialized_sums(argv, monkeypatch, capsys):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_each_ladder_sum_formed_once(fmt, monkeypatch, capsys):
     covers = band_hierarchy(5.0, 11).ladder(10)[1]
-    normalize, merged = sumset._normalize, []
+    merge, merged = sumset._merge, []
 
-    def counting_normalize(lo, hi):
+    def counting_merge(lo, hi):
         merged.append(lo.size)
-        return normalize(lo, hi)
+        return merge(lo, hi)
 
     monkeypatch.setattr(sumset, "_WINDOW_PAIRS", 500)
-    monkeypatch.setattr(sumset, "_normalize", counting_normalize)
+    monkeypatch.setattr(sumset, "_merge", counting_merge)
     assert cli.main(["sum", "--lambda", "5", "--k", "10", "--format", fmt]) == 0
     capsys.readouterr()
     assert sum(merged) == sum(len(c) * (len(c) + 1) // 2 for c in covers)
@@ -486,13 +543,13 @@ def test_sampled_windows_stay_near_the_window_size(argv, monkeypatch):
     lam = float(argv[2])
     lam2 = float(argv[4]) if "--lambda2" in argv else lam
     k = int(argv[-1])
-    normalize, windows = sumset._normalize, []
+    merge, windows = sumset._merge, []
 
-    def counting_normalize(lo, hi):
+    def counting_merge(lo, hi):
         windows.append(lo.size)
-        return normalize(lo, hi)
+        return merge(lo, hi)
 
-    monkeypatch.setattr(sumset, "_normalize", counting_normalize)
+    monkeypatch.setattr(sumset, "_merge", counting_merge)
     covers1 = band_hierarchy(lam, k + 1).ladder(k)[1]
     covers2 = covers1 if lam2 == lam else band_hierarchy(lam2, k + 1).ladder(k)[1]
     for a, b in zip(covers1, covers2):
