@@ -3,7 +3,10 @@
 Box counting consumes IntervalSet covers, or a set's components in
 order as they stream past, in half-open cells [j*eps, (j+1)*eps)
 anchored at 0, with the exact occupancy rule spelled out on box_count.
-The partition exponent is solved from band lengths.
+The one box-dimension regression takes a ladder whose levels may be of
+either kind, so a factor's covers and a streamed sum's windows are
+counted and fitted alike.  The partition exponent is solved from band
+lengths.
 """
 
 from __future__ import annotations
@@ -105,24 +108,23 @@ def _count_cells(chunks: Iterable[tuple[np.ndarray, np.ndarray]],
     return total
 
 
-def box_dim_regression(covers: list[IntervalSet],
-                       eps: list[float]) -> DimensionEstimate:
+def box_dim_regression(
+        covers: list[IntervalSet | Iterable[tuple[np.ndarray, np.ndarray]]],
+        eps: list[float]) -> DimensionEstimate:
     """Least-squares slope of log N(eps) against log(1/eps) over every
     level; callers choose the window by what they pass.
 
-    At least three levels are needed.  All-equal counts are returned as
+    A level is an IntervalSet, counted by box_count, or a stream: the
+    (lo, hi) chunks of one set's components in order, counted by
+    _count_cells as they pass.  At least three levels are needed, with
+    cell sizes positive and strictly decreasing (coarse to fine); these
+    are checked before the first level is counted, so no stream is
+    advanced for such a scale (a NaN passes them, and is refused by the
+    count of its own level).  All-equal counts are returned as
     slope 0 with the degenerate flag set.
     """
     if len(covers) != len(eps):
         raise ValueError("covers and eps must align")
-    eps_arr = _cell_sizes(eps)
-    return _count_regression([box_count(c, e) for c, e in zip(covers, eps_arr)],
-                             eps_arr)
-
-
-def _cell_sizes(eps: list[float]) -> np.ndarray:
-    """The cell sizes of a regression, checked before anything is counted:
-    at least three, positive, strictly decreasing (coarse to fine)."""
     if len(eps) < 3:
         raise ValueError(f"need at least 3 levels, have {len(eps)}")
     eps_arr = np.asarray(eps, dtype=float)
@@ -130,19 +132,15 @@ def _cell_sizes(eps: list[float]) -> np.ndarray:
         raise ValueError("cell sizes must be positive")
     if np.any(np.diff(eps_arr) >= 0):
         raise ValueError("cell sizes must be strictly decreasing (coarse to fine)")
-    return eps_arr
-
-
-def _count_regression(counts: list[int], eps: np.ndarray) -> DimensionEstimate:
-    """box_dim_regression from the box counts at the checked cell sizes
-    eps (see _cell_sizes)."""
-    counts = np.array(counts, dtype=float)
+    counts = np.array([box_count(c, e) if isinstance(c, IntervalSet)
+                       else _count_cells(c, e)
+                       for c, e in zip(covers, eps_arr)], dtype=float)
     if np.any(counts == 0):
         raise ValueError("a cover level produced zero boxes (empty set?)")
     levels = list(range(len(counts)))
     if np.all(counts == counts[0]):
         return DimensionEstimate(0.0, 0.0, levels, "box", degenerate=True)
-    x = np.log(1.0 / eps)
+    x = np.log(1.0 / eps_arr)
     y = np.log(counts)
     xc = x - x.mean()
     slope = float(np.dot(xc, y) / np.dot(xc, xc))

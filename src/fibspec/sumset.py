@@ -22,10 +22,12 @@ the constructors' checks, which the pair sums pass by construction: a
 test of the two extreme sums, made once before any window is formed,
 proves every pair sum finite.  The window edges are quantiles of a
 strided sample of about a thousand pair sums per window, so placing
-them costs in proportion to the windows.  The sum check box-counts the
-components as they stream past, so its memory is bounded by the window,
-and it joins the finest sum's windows into a cover only when its caller
-will list it.
+them costs in proportion to the windows.  The sum check hands its four
+ladder sums to dimension.box_dim_regression as streams of windows, the
+same regression that fits each factor's covers, so the components are
+box-counted as they pass and its memory is bounded by the window; it
+joins the finest sum's windows into a cover only when its caller will
+list it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dimension import (DimensionEstimate, _cell_sizes, _count_cells,
-                        _count_regression, box_dim_regression,
+from .dimension import (DimensionEstimate, box_dim_regression,
                         solve_partition_exponent)
 from .errors import SizeCapError
 from .intervals import IntervalSet, _merge
@@ -170,11 +171,13 @@ def _first_at_least(a_lo: np.ndarray, b_lo: np.ndarray, edge: float) -> np.ndarr
     """For each row i, the first column j with fl(a_lo[i] + b_lo[j]) >= edge.
 
     searchsorted on edge - a_lo[i] can be off where that difference
-    rounds; the float sums are monotone in j, so stepping until they
-    straddle the edge gives the exact column.
+    rounds, or overflows where the sets span the float range; the float
+    sums are monotone in j, so stepping until they straddle the edge
+    gives the exact column.
     """
     m = b_lo.size
-    j = np.searchsorted(b_lo, edge - a_lo)
+    with np.errstate(over="ignore"):  # an overflow only moves the start
+        j = np.searchsorted(b_lo, edge - a_lo)
     while True:
         back = (j > 0) & (a_lo + b_lo[j - 1] >= edge)
         if not back.any():
@@ -270,11 +273,12 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
     min(d1 + d2, 1) over cover levels k-3 .. k.  Depth is bounded only
     by SUM_PAIR_CAP, charged before any sum is formed.
 
-    The three coarser sums are box-counted as their merge windows stream
-    out of _sum_chunks, and are never held.  The finest sum is
-    box-counted and measured (count, hull, total length) in one pass,
-    which keeps its cover for the report only if it has at most
-    cover_cap components (None: any number).
+    All four ladder sums go to one box_dim_regression call as streams
+    of merge windows, each counted at the wider of its factors' widest
+    bands; the regression checks the cell sizes before any sum is
+    formed, and no sum is held.  The finest sum's stream (_finest_sum) also measures
+    it (count, hull, total length) and keeps its cover for the report
+    only if it has at most cover_cap components (None: any number).
     """
     levels, covers1 = band_hierarchy(lambda1, k + 1, tol).ladder(k)
     covers2 = (covers1 if lambda2 == lambda1
@@ -282,21 +286,18 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
     # Refuse an oversized finest sum before forming the coarser ones.
     _charged_pairs(covers1[-1], covers2[-1])
 
-    eps = _cell_sizes([max(c1.max_length, c2.max_length)
-                       for c1, c2 in zip(covers1, covers2)])
-    counts = [_count_cells(_sum_chunks(c1, c2), e)
-              for c1, c2, e in zip(covers1[:-1], covers2[:-1], eps)]
-    boxes, count, hull, total_length, cover = _finest_sum(
-        covers1[-1], covers2[-1], eps[-1], cover_cap)
-    counts.append(boxes)
-    sum_dim = _count_regression(counts, eps)
+    finest = {}
+    sum_dim = box_dim_regression(
+        [_sum_chunks(c1, c2) for c1, c2 in zip(covers1[:-1], covers2[:-1])]
+        + [_finest_sum(covers1[-1], covers2[-1], cover_cap, finest)],
+        [max(c1.max_length, c2.max_length) for c1, c2 in zip(covers1, covers2)])
 
     caveats = [EXCEPTIONAL_CAVEAT]
-    hd1 = _factor_report(covers1, "factor 1", caveats)
-    hd2 = hd1 if lambda2 == lambda1 else _factor_report(covers2, "factor 2", caveats)
-    if lambda2 == lambda1 and len(caveats) > 1:
-        # the shared factor was reported once; relabel for both
-        caveats[1:] = [c.replace("factor 1", "both factors") for c in caveats[1:]]
+    if lambda2 == lambda1:
+        hd1 = hd2 = _factor_report(covers1, "both factors", caveats)
+    else:
+        hd1 = _factor_report(covers1, "factor 1", caveats)
+        hd2 = _factor_report(covers2, "factor 2", caveats)
 
     rhs = min(hd1.value + hd2.value, 1.0)
     return TheoremReport(
@@ -309,42 +310,36 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
         rhs=rhs,
         gap=sum_dim.value - rhs,
         levels=levels,
-        sum_count=count,
-        sum_hull=hull,
-        sum_total_length=total_length,
-        sum_cover=cover,
         caveats=tuple(caveats),
+        **finest,
     )
 
 
-def _finest_sum(a: IntervalSet, b: IntervalSet, eps: float, cap: int | None):
-    """Box count at eps, component count, hull, total length and cover of
-    a + b, from one pass over its windows.  The cover is None if it has
-    more than cap components (None: keep every window); the windows are
-    dropped as soon as they hold more.  The total length is np.sum of one
-    array of every component's length.
+def _finest_sum(a: IntervalSet, b: IntervalSet, cap: int | None,
+                report: dict) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The windows of a + b, passed through from _sum_chunks; once they
+    run out, report holds the sum's TheoremReport fields: sum_count,
+    sum_hull, sum_total_length and sum_cover.  The cover is None if it
+    has more than cap components (None: keep every window); the windows
+    are dropped as soon as they hold more.  The total length is np.sum
+    of one array of every component's length.
     """
     # A sum has at most as many components as pairs; the pages past the
     # count are never written, so they are never resident.
     lengths = np.empty(_charged_pairs(a, b))
     count, hull, kept = 0, [0.0, 0.0], []
-
-    def tap():
-        nonlocal count, kept
-        for lo, hi in _sum_chunks(a, b):
-            if not count:
-                hull[0] = float(lo[0])
-            hull[1] = float(hi[-1])
-            np.subtract(hi, lo, out=lengths[count:count + lo.size])
-            count += lo.size
-            if kept is not None:
-                kept.append((lo, hi))
-                if cap is not None and count > cap:
-                    kept = None
-            yield lo, hi
-
-    boxes = _count_cells(tap(), eps)
-    total_length = float(np.sum(lengths[:count]))
+    for lo, hi in _sum_chunks(a, b):
+        if not count:
+            hull[0] = float(lo[0])
+        hull[1] = float(hi[-1])
+        np.subtract(hi, lo, out=lengths[count:count + lo.size])
+        count += lo.size
+        if kept is not None:
+            kept.append((lo, hi))
+            if cap is not None and count > cap:
+                kept = None
+        yield lo, hi
+    report.update(sum_count=count, sum_hull=tuple(hull),
+                  sum_total_length=float(np.sum(lengths[:count])))
     del lengths  # its written pages are resident; free them before joining
-    return (boxes, count, tuple(hull), total_length,
-            None if kept is None else _joined(kept))
+    report["sum_cover"] = None if kept is None else _joined(kept)

@@ -149,6 +149,9 @@ def test_regression_middle_thirds():
     assert est.method == "box"
     assert not est.degenerate
     assert est.value == pytest.approx(LOG2_OVER_LOG3, abs=0.02)
+    # The same levels as streams of blocks give the same estimate.
+    streams = [iter(_chunks(c, range(7, len(c), 7))) for c in covers[2:]]
+    assert box_dim_regression(streams, eps[2:]) == est
 
 
 def test_regression_nested_intervals_degenerate():
@@ -181,6 +184,20 @@ def test_regression_input_validation():
         box_dim_regression([unit] * 2, [0.5, 0.25])
     with pytest.raises(ValueError):
         box_dim_regression([unit] * 3, [0.5, 0.25])
+
+
+def test_regression_refuses_bad_scales_before_any_stream_advances():
+    def untouchable():
+        raise AssertionError("a stream was advanced")
+        yield
+
+    for eps, message in (([0.5, 0.25], "need at least 3 levels"),
+                         ([0.5, 0.25, 0.0], "must be positive"),
+                         ([0.5, 0.25, -0.125], "must be positive"),
+                         ([0.5, 0.25, 0.25], "strictly decreasing"),
+                         ([0.5, 0.125, 0.25], "strictly decreasing")):
+        with pytest.raises(ValueError, match=message):
+            box_dim_regression([untouchable() for _ in eps], eps)
 
 
 def test_regression_scale_invariance():

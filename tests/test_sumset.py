@@ -423,8 +423,12 @@ def test_streamed_sum_matches_materialized_sum(monkeypatch):
                 assert (dimension._count_cells(sumset._sum_chunks(x, y), eps)
                         == box_count(want, eps))
             for cap in (None, len(want), len(want) - 1):
-                boxes, count, hull, total, cover = sumset._finest_sum(
-                    x, y, 0.25, cap)
+                report = {}
+                boxes = dimension._count_cells(
+                    sumset._finest_sum(x, y, cap, report), 0.25)
+                count, hull, total, cover = (
+                    report["sum_count"], report["sum_hull"],
+                    report["sum_total_length"], report["sum_cover"])
                 assert boxes == box_count(want, 0.25)
                 assert count == len(want)
                 assert hull == want.hull
@@ -492,6 +496,19 @@ def test_overflowing_sum_refused_before_any_window(monkeypatch):
         with pytest.raises(ValueError, match="interval endpoints must be finite"):
             next(chunks)
     assert merged == []
+
+
+def test_sum_spanning_the_float_range_is_exact(monkeypatch):
+    """Window edges far from a row's left ends overflow edge - a_lo to
+    ±inf; the sum is still the all-pairs sum, bit for bit, and no
+    overflow warning escapes."""
+    monkeypatch.setattr(sumset, "_WINDOW_PAIRS", 3)
+    a = IntervalSet([(float(i), i + 0.5) for i in range(30)]
+                    + [(1.7e308, 1.75e308)])
+    b = IntervalSet.from_arrays(-a.hi, -a.lo)
+    for x, y in ((a, b), (b, a)):
+        assert_same_endpoints(sumset._joined(sumset._sum_chunks(x, y)),
+                              oracles.all_pairs_minkowski_sum(x, y))
 
 
 BENCHMARK_SUMS = [  # the sum argvs of perfbench's square_sum workload
