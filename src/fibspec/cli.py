@@ -106,8 +106,6 @@ def to_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind != "f":
-            return to_json(obj.tolist())
         template = "%.17g"
         for n in reversed(obj.shape):
             template = "[" + ",".join([template] * n) + "]"
@@ -116,8 +114,6 @@ def to_json(obj) -> str:
 
 
 def _interval_dict(s: IntervalSet, caveats: list[str], label: str) -> dict:
-    if not s:
-        return {"count": 0, "hull": None, "total_length": 0.0, "intervals": []}
     return _summary_dict(len(s), s.hull, s.total_length, s, caveats, label)
 
 
@@ -320,12 +316,9 @@ def _periodic_payload(a: float | None, scan: list[float] | None, grid: int,
 
 def _parse_floats_csv(text: str, flag: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise ValueError(f"{flag} must list at least one number")
-    return values
 
 
 def _ifs_payload(ratios: str | None, offsets: str | None, hull: str,
@@ -336,14 +329,7 @@ def _ifs_payload(ratios: str | None, offsets: str | None, hull: str,
         r1, r2 = resonance
         verdict = log_ratio_resonance(r1, r2, qmax)
         config = {"r1": r1, "r2": r2, "qmax": qmax}
-        result = {
-            "value": verdict.value,
-            "resonant": verdict.resonant,
-            "numerator": verdict.numerator,
-            "denominator": verdict.denominator,
-            "error": verdict.error,
-            "qmax": verdict.qmax,
-        }
+        result = asdict(verdict)
         caveats = []
         if not verdict.resonant:
             caveats.append("non-resonance is relative to the denominator bound; "

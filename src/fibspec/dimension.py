@@ -117,19 +117,18 @@ def box_dim_regression(
     A level is an IntervalSet, counted by box_count, or a stream: the
     (lo, hi) chunks of one set's components in order, counted by
     _count_cells as they pass.  At least three levels are needed, with
-    cell sizes positive and strictly decreasing (coarse to fine); these
-    are checked before the first level is counted, so no stream is
-    advanced for such a scale (a NaN passes them, and is refused by the
-    count of its own level).  All-equal counts are returned as
-    slope 0 with the degenerate flag set.
+    cell sizes positive, finite and strictly decreasing (coarse to
+    fine); these are checked before the first level is counted, so no
+    stream is advanced for such a scale.  All-equal counts are returned
+    as slope 0 with the degenerate flag set.
     """
     if len(covers) != len(eps):
         raise ValueError("covers and eps must align")
     if len(eps) < 3:
         raise ValueError(f"need at least 3 levels, have {len(eps)}")
     eps_arr = np.asarray(eps, dtype=float)
-    if np.any(eps_arr <= 0):
-        raise ValueError("cell sizes must be positive")
+    if not np.all(np.isfinite(eps_arr) & (eps_arr > 0)):
+        raise ValueError("cell sizes must be positive and finite")
     if np.any(np.diff(eps_arr) >= 0):
         raise ValueError("cell sizes must be strictly decreasing (coarse to fine)")
     counts = np.array([box_count(c, e) if isinstance(c, IntervalSet)

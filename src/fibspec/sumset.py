@@ -25,16 +25,16 @@ strided sample of about a thousand pair sums per window, so placing
 them costs in proportion to the windows.  The sum check hands its four
 ladder sums to dimension.box_dim_regression as streams of windows, the
 same regression that fits each factor's covers, so the components are
-box-counted as they pass and its memory is bounded by the window; it
-joins the finest sum's windows into a cover only when its caller will
-list it.
+box-counted as they pass and its memory is bounded by the window; the
+finest sum's windows are also written into its cover as they pass, only
+when its caller will list it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -71,13 +71,6 @@ def _charged_pairs(a: IntervalSet, b: IntervalSet) -> int:
     if n_pairs > SUM_PAIR_CAP:
         raise SizeCapError("pairwise interval sums", n_pairs, SUM_PAIR_CAP)
     return n_pairs
-
-
-def _joined(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> IntervalSet:
-    """The set whose components, in order, are those of the (lo, hi)
-    chunks of one sum."""
-    lo, hi = zip(*chunks)
-    return IntervalSet._from_normalized(np.concatenate(lo), np.concatenate(hi))
 
 
 def _sum_chunks(a: IntervalSet, b: IntervalSet
@@ -320,26 +313,33 @@ def _finest_sum(a: IntervalSet, b: IntervalSet, cap: int | None,
     """The windows of a + b, passed through from _sum_chunks; once they
     run out, report holds the sum's TheoremReport fields: sum_count,
     sum_hull, sum_total_length and sum_cover.  The cover is None if it
-    has more than cap components (None: keep every window); the windows
-    are dropped as soon as they hold more.  The total length is np.sum
-    of one array of every component's length.
+    has more than cap components (None: keep every window).  Windows are
+    written into the cover's arrays as they pass, while those can hold
+    them.  The total length is np.sum of one array of every component's
+    length: the kept cover's, or, where cap may drop the cover, a buffer
+    written as the windows pass.
     """
+    n_pairs = _charged_pairs(a, b)
     # A sum has at most as many components as pairs; the pages past the
     # count are never written, so they are never resident.
-    lengths = np.empty(_charged_pairs(a, b))
-    count, hull, kept = 0, [0.0, 0.0], []
+    keep = n_pairs if cap is None else min(max(cap, 0), n_pairs)
+    kept_lo, kept_hi = np.empty(keep), np.empty(keep)
+    lengths = None if cap is None else np.empty(n_pairs)
+    count = 0
     for lo, hi in _sum_chunks(a, b):
+        end = count + lo.size
         if not count:
-            hull[0] = float(lo[0])
-        hull[1] = float(hi[-1])
-        np.subtract(hi, lo, out=lengths[count:count + lo.size])
-        count += lo.size
-        if kept is not None:
-            kept.append((lo, hi))
-            if cap is not None and count > cap:
-                kept = None
+            first = float(lo[0])
+        last = float(hi[-1])
+        if end <= keep:
+            kept_lo[count:end], kept_hi[count:end] = lo, hi
+        if lengths is not None:
+            np.subtract(hi, lo, out=lengths[count:end])
+        count = end
         yield lo, hi
-    report.update(sum_count=count, sum_hull=tuple(hull),
-                  sum_total_length=float(np.sum(lengths[:count])))
-    del lengths  # its written pages are resident; free them before joining
-    report["sum_cover"] = None if kept is None else _joined(kept)
+    cover = (IntervalSet._from_normalized(kept_lo[:count], kept_hi[:count])
+             if count <= keep else None)
+    report.update(sum_count=count, sum_hull=(first, last),
+                  sum_total_length=(cover.total_length if cover is not None
+                                    else float(np.sum(lengths[:count]))),
+                  sum_cover=cover)

@@ -359,12 +359,19 @@ def argsort_normalize(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return lo[first], np.maximum.reduceat(hi, first)
 
 
+def joined(chunks) -> IntervalSet:
+    """The set whose components, in order, are those of the (lo, hi)
+    chunks of one sum."""
+    lo, hi = zip(*chunks)
+    return IntervalSet._from_normalized(np.concatenate(lo), np.concatenate(hi))
+
+
 def minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """a + b as the package forms it: the merge windows of
     sumset._sum_chunks, joined in order.  A harness for tests that need a
     sum as one set, not an independent reference (all_pairs_minkowski_sum
     is that)."""
-    return sumset._joined(sumset._sum_chunks(a, b))
+    return joined(sumset._sum_chunks(a, b))
 
 
 def all_pairs_minkowski_sum(a: IntervalSet, b: IntervalSet) -> IntervalSet:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -455,6 +456,73 @@ def test_negative_level_exits_one(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "fibspec: invalid arguments: level must be >= 0" in captured.err
+
+
+_SIMILARITY_OVERLAP = ("similarity dimension unavailable: first-level images "
+                       "overlap; similarity dimension formula requires "
+                       "separated maps")
+_NON_RESONANCE = ("non-resonance is relative to the denominator bound; no "
+                  "floating-point computation can prove irrationality")
+
+
+REFUSALS_AND_CAVEATS = [  # (argv, exit code, stderr message or caveats)
+    (["periodic"], 1, "periodic needs exactly one of --a or --scan"),
+    (["periodic", "--a", "1", "--scan", "0", "1"], 1,
+     "periodic needs exactly one of --a or --scan"),
+    (["periodic", "--scan", "1", "0"], 1, "need a_min < a_max"),
+    (["periodic", "--scan", "0", "1", "--grid", "1"], 1,
+     "grid must have at least 2 points"),
+    (["periodic", "--scan", "0", "1", "--qmax", "0"], 1, "qmax must be >= 1"),
+    (["ifs", "--ratios", "0.5"], 1,
+     "ifs needs --ratios and --offsets (or --resonance)"),
+    (["ifs", "--ratios", "a,b", "--offsets", "0,0.5"], 1,
+     "--ratios expects comma-separated numbers, got 'a,b'"),
+    (["ifs", "--resonance", "0.2", "0.3", "--ratios", "0.5"], 1,
+     "--resonance and --ratios/--offsets are exclusive"),
+    (["ifs", "--ratios", "0.5", "--offsets", "0", "--hull", "0,1,2"], 1,
+     "--hull expects exactly two numbers LO,HI"),
+    (["ifs", "--ratios", "0.5", "--offsets", "0", "--hull", "1,0"], 1,
+     "hull must be a nondegenerate finite interval"),
+    (["ifs", "--ratios", "0.5", "--offsets", "0,0.5"], 1,
+     "need equally many ratios and offsets, at least one map"),
+    (["ifs", "--ratios", "0.5", "--offsets", "0", "--depth", "-1"], 1,
+     "depth must be >= 0"),
+    (["ifs", "--resonance", "2", "0.5"], 1,
+     "contraction ratios must lie in (0, 1)"),
+    (["ifs", "--resonance", "0.2", "0.3", "--qmax", "0"], 1,
+     "qmax must be >= 1"),
+    (["sweep", "--command", "dim", "--start", "6", "--stop", "8",
+      "--count", "0", "--k", "7"], 1, "sweep needs at least one grid point"),
+    (["sweep", "--command", "dim", "--start", "8", "--stop", "6",
+      "--count", "3", "--k", "7"], 1, "sweep needs start < stop"),
+    (["sweep", "--command", "dim", "--start", "6", "--stop", "6",
+      "--count", "3", "--k", "7"], 1, "sweep needs start < stop"),
+    (["oracle", "--lambda", "5", "--n", "0"], 1, "matrix size must be >= 1"),
+    (["spectrum", "--lambda", "inf", "--k", "4"], 1,
+     "coupling must be finite"),
+    (["spectrum", "--lambda", "nan", "--k", "4"], 1,
+     "coupling must be finite"),
+    (["ifs", "--ratios", "0.6,0.6", "--offsets", "0,0.3"], 0,
+     [_SIMILARITY_OVERLAP]),
+    (["ifs", "--ratios", "0.5", "--offsets", "0"], 0, []),
+    (["ifs", "--resonance", "0.3", "0.5"], 0, [_NON_RESONANCE]),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", REFUSALS_AND_CAVEATS,
+                         ids=[" ".join(row[0]) for row in REFUSALS_AND_CAVEATS])
+def test_refusals_and_caveats(argv, code, expected, capsys):
+    """A refused argv exits 1 with its one stderr line and no output; an
+    answered one exits 0 with exactly the caveats expected."""
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == f"fibspec: invalid arguments: {expected}\n"
+    else:
+        assert json.loads(captured.out)["caveats"] == expected
+        assert re.fullmatch(rf"fibspec: {argv[0]} finished in [0-9.]+ ms\n",
+                            captured.err)
 
 
 class _SerialPool:

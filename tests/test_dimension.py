@@ -194,6 +194,7 @@ def test_regression_refuses_bad_scales_before_any_stream_advances():
     for eps, message in (([0.5, 0.25], "need at least 3 levels"),
                          ([0.5, 0.25, 0.0], "must be positive"),
                          ([0.5, 0.25, -0.125], "must be positive"),
+                         ([0.5, 0.25, math.nan], "must be positive"),
                          ([0.5, 0.25, 0.25], "strictly decreasing"),
                          ([0.5, 0.125, 0.25], "strictly decreasing")):
         with pytest.raises(ValueError, match=message):

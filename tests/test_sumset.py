@@ -368,9 +368,9 @@ def test_sum_check_memory_stays_small():
 
 def test_kept_cover_memory_stays_small():
     """The same sum with its cover kept, as a CSV document lists it.  The
-    buffer of component lengths is freed before the kept windows are
-    joined into the cover; holding it while they are joined peaked at
-    24.0 MB traced, against 18.5 MB."""
+    windows are written into the cover's arrays as they pass, with no
+    buffer of lengths beside them: 18.3 MiB traced, against 19.1 MiB
+    when the kept windows were joined into the cover after they ran out."""
     check_theorem_rect(20.0, 20.0, 6)  # first-call allocations stay out of the count
     tracemalloc.start()
     try:
@@ -418,11 +418,11 @@ def test_streamed_sum_matches_materialized_sum(monkeypatch):
             windows.clear()
             chunks = list(sumset._sum_chunks(x, y))
             joins += len(windows) - len(chunks)
-            assert_same_endpoints(sumset._joined(chunks), want)
+            assert_same_endpoints(oracles.joined(chunks), want)
             for eps in (0.03, 0.25, 0.4, 3.0):
                 assert (dimension._count_cells(sumset._sum_chunks(x, y), eps)
                         == box_count(want, eps))
-            for cap in (None, len(want), len(want) - 1):
+            for cap in (None, len(want), len(want) - 1, -1):
                 report = {}
                 boxes = dimension._count_cells(
                     sumset._finest_sum(x, y, cap, report), 0.25)
@@ -507,7 +507,7 @@ def test_sum_spanning_the_float_range_is_exact(monkeypatch):
                     + [(1.7e308, 1.75e308)])
     b = IntervalSet.from_arrays(-a.hi, -a.lo)
     for x, y in ((a, b), (b, a)):
-        assert_same_endpoints(sumset._joined(sumset._sum_chunks(x, y)),
+        assert_same_endpoints(oracles.joined(sumset._sum_chunks(x, y)),
                               oracles.all_pairs_minkowski_sum(x, y))
 
 
