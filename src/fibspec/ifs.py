@@ -92,12 +92,14 @@ def similarity_dim(ifs: LinearIFS) -> float:
 class ResonanceVerdict:
     """Rationality verdict for a ratio of contraction logarithms.
 
-    ``resonant`` means the continued fraction of ``value`` terminated
-    (fractional part below RESONANCE_TOL) at denominator <= qmax, i.e.
-    the ratio is exactly rational at double precision.  Otherwise
-    ``numerator/denominator`` is the best rational approximation with
-    denominator <= qmax and ``error`` its distance — possibly tiny, but
-    tiny error alone is never treated as resonance: excellent rational
+    ``numerator/denominator`` is p/q, the best rational approximation of
+    ``value`` with denominator <= qmax (``Fraction.limit_denominator``),
+    and ``error`` is |value - p/q|.  ``resonant`` means the ratio is
+    exactly rational at double precision: p/q rounds to ``value``, or
+    |value - p/q| * q**2 <= RESONANCE_TOL in exact rationals, so that the
+    continued fraction's next complete quotient is about 1/RESONANCE_TOL
+    or more.
+    A tiny error alone is never treated as resonance: excellent rational
     approximations of irrational ratios are the expected behaviour.
     """
 
@@ -109,30 +111,15 @@ class ResonanceVerdict:
     qmax: int
 
 
-def _continued_fraction_verdict(value: float, qmax: int) -> ResonanceVerdict:
-    p_prev, q_prev = 1, 0
-    p, q = int(math.floor(value)), 1
-    x = value - math.floor(value)
-    if x <= RESONANCE_TOL:
-        return ResonanceVerdict(value, True, p, q, abs(value - p), qmax)
-    while True:
-        a = math.floor(1.0 / x)
-        x = 1.0 / x - a
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        if q > qmax:
-            best = Fraction(value).limit_denominator(qmax)
-            return ResonanceVerdict(
-                value, False, best.numerator, best.denominator,
-                abs(value - best.numerator / best.denominator), qmax)
-        if x <= RESONANCE_TOL:
-            return ResonanceVerdict(value, True, p, q, abs(value - p / q), qmax)
-
-
 def log_ratio_resonance(r1: float, r2: float, qmax: int = 10 ** 6) -> ResonanceVerdict:
-    """Continued-fraction rationality scan of log r1 / log r2."""
+    """Exact rationality test of log r1 / log r2 at denominators <= qmax."""
     if not (0.0 < r1 < 1.0 and 0.0 < r2 < 1.0):
         raise ValueError("contraction ratios must lie in (0, 1)")
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
-    return _continued_fraction_verdict(math.log(r1) / math.log(r2), int(qmax))
+    value = math.log(r1) / math.log(r2)
+    exact = Fraction(value)
+    best = exact.limit_denominator(int(qmax))
+    p, q = best.numerator, best.denominator
+    resonant = p / q == value or abs(exact - best) * q * q <= RESONANCE_TOL
+    return ResonanceVerdict(value, resonant, p, q, abs(value - p / q), int(qmax))

@@ -126,8 +126,8 @@ class IntervalSet:
 
     def dilate(self, eps: float) -> "IntervalSet":
         """Closed eps-neighborhood (components may merge)."""
-        if eps < 0:
-            raise ValueError("dilation must be >= 0")
+        if not 0.0 <= eps < np.inf:
+            raise ValueError("dilation must be finite and >= 0")
         if not self:
             return self
         return IntervalSet.from_arrays(self.lo - eps, self.hi + eps)

@@ -26,11 +26,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import SizeCapError
 from .tracemap import Point3, apply_map, invariant, invariant_gradient
 
 PERIOD_TOL = 1e-10
 PERIOD_MAX = 64
 GRADIENT_FLOOR = 1e-8
+# points of one scan grid: 80 MB, and about 2 min at 11.5 us a point on 2 vCPUs
+_SCAN_GRID_CAP = 10_000_000
 
 
 def _require_surface_parameter(a: float) -> float:
@@ -203,13 +206,16 @@ def scan_exceptional(a_min: float, a_max: float, grid: int, qmax: int,
     sum-dimension identity can fail (coupling lam = 2*sqrt(a)).
 
     Proximity flagging, not exact rationality: the scan is a screen for
-    candidates, and widening qmax can only grow the flagged set.
+    candidates, and widening qmax can only grow the flagged set.  A grid
+    past ``_SCAN_GRID_CAP`` points raises SizeCapError before it is formed.
     """
     a_min, a_max = (_require_surface_parameter(a) for a in (a_min, a_max))
     if not (a_min < a_max):
         raise ValueError("need a_min < a_max")
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
+    if grid > _SCAN_GRID_CAP:
+        raise SizeCapError("scan grid points", grid, _SCAN_GRID_CAP)
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
     if not 0.0 <= tol < math.inf:

@@ -184,6 +184,17 @@ def test_size_cap_exit_three(capsys):
     capsys.readouterr()
 
 
+def test_oversized_scan_grid_exits_three(monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid formed")
+    monkeypatch.setattr(np, "linspace", no_grid)
+    assert cli.main(["periodic", "--scan", "0", "1", "--grid", "1000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fibspec: size cap exceeded: scan grid points: "
+                            "1000000000 items exceeds cap 10000000\n")
+
+
 def test_strong_coupling_sum_at_depth_16_answered(capsys):
     """The finest self-sum at lambda = 20, k = 16 forms 5,102,415
     unordered pairs, within the cap; all 3194**2 ordered pairs are not."""
@@ -498,6 +509,8 @@ REFUSALS_AND_CAVEATS = [  # (argv, exit code, stderr message or caveats)
     (["sweep", "--command", "dim", "--start", "6", "--stop", "6",
       "--count", "3", "--k", "7"], 1, "sweep needs start < stop"),
     (["oracle", "--lambda", "5", "--n", "0"], 1, "matrix size must be >= 1"),
+    *[(["oracle", "--lambda", "5", "--n", "8", "--k", "3", "--dilate", eps], 1,
+       "dilation must be finite and >= 0") for eps in ("nan", "inf", "-1")],
     (["spectrum", "--lambda", "inf", "--k", "4"], 1,
      "coupling must be finite"),
     (["spectrum", "--lambda", "nan", "--k", "4"], 1,
@@ -506,6 +519,8 @@ REFUSALS_AND_CAVEATS = [  # (argv, exit code, stderr message or caveats)
      [_SIMILARITY_OVERLAP]),
     (["ifs", "--ratios", "0.5", "--offsets", "0"], 0, []),
     (["ifs", "--resonance", "0.3", "0.5"], 0, [_NON_RESONANCE]),
+    # log 0.55265246928962 / log 0.5 is fl(77/90), resonant at qmax 1000
+    (["ifs", "--resonance", "0.55265246928962", "0.5", "--qmax", "1000"], 0, []),
 ]
 
 

@@ -1,8 +1,11 @@
 import math
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fibspec import ifs
 from fibspec import (LinearIFS, attractor_cover, box_dim_regression,
                      log_ratio_resonance, similarity_dim)
 from fibspec.errors import SizeCapError
@@ -99,6 +102,36 @@ def test_resonance_flag_monotone_in_qmax():
         large = log_ratio_resonance(r1, r2, qmax=10 ** 6)
         if small.resonant:
             assert large.resonant
+
+
+def test_exact_quotients_resonant_exactly_when_the_denominator_fits(monkeypatch):
+    """Fed fl(p/q) itself as the log ratio, for every reduced p/q with
+    p, q <= 120, the verdict is resonant exactly when q <= qmax, and then
+    names p/q.  A floating-point continued fraction called 130 of these
+    verdicts non-resonant, the first at 83/87."""
+    # with log r = -r, log r1 / log r2 = r1 / r2, which is fl(p/q) for
+    # r1 = fl(p/q) / 128 and r2 = 1/128: both scalings are exact
+    monkeypatch.setattr(ifs, "math", SimpleNamespace(**{**vars(math), "log": operator.neg}))
+    for q in range(1, 121):
+        for p in range(1, 121):
+            if math.gcd(p, q) > 1:
+                continue
+            for qmax in (10, 1000):
+                v = log_ratio_resonance(p / q / 128, 1 / 128, qmax)
+                assert v.value == p / q
+                assert v.resonant == (q <= qmax), (p, q, qmax)
+                if v.resonant:
+                    assert (v.numerator, v.denominator, v.error) == (p, q, 0.0)
+
+
+def test_resonance_of_a_rounded_quotient():
+    """0.5**(77/90) gives the log ratio fl(77/90), resonant at qmax 1000
+    with error 0; the continued fraction's rounding stopped one quotient
+    past 77/90 and called it non-resonant."""
+    v = log_ratio_resonance(0.55265246928962, 0.5, qmax=1000)
+    assert v.value == 77 / 90
+    assert v.resonant
+    assert (v.numerator, v.denominator, v.error) == (77, 90, 0.0)
 
 
 def test_resonant_sum_dimension_deficit():

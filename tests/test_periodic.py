@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from fibspec import (Point3, invariant, invariant_gradient, log_ratio,
-                     orbit_info, scan_exceptional)
-from fibspec.periodic import (_jacobian, _orbit, _restricted_jacobian,
+from fibspec import (Point3, SizeCapError, invariant, invariant_gradient,
+                     log_ratio, orbit_info, scan_exceptional)
+from fibspec.periodic import (_SCAN_GRID_CAP, _jacobian, _orbit, _restricted_jacobian,
                               _tangent_frame)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -209,6 +209,23 @@ def test_scan_validates_a_max_up_front(a_max):
     with pytest.raises(ValueError, match="surface parameter must be finite "
                                          f"and >= 0, got {a_max}"):
         scan_exceptional(0.0, a_max, grid=3, qmax=10)
+
+
+def test_scan_grid_capped_before_any_point(monkeypatch):
+    """A grid past the cap is refused before linspace forms it; 1e9
+    points would be an 8 GB grid and hours of scanning."""
+    class Formed(Exception):
+        pass
+
+    def no_grid(*args, **kwargs):
+        raise Formed
+    monkeypatch.setattr(np, "linspace", no_grid)
+    for grid in (_SCAN_GRID_CAP + 1, 10 ** 9):
+        with pytest.raises(SizeCapError) as info:
+            scan_exceptional(0.0, 1.0, grid=grid, qmax=10)
+        assert (info.value.requested, info.value.cap) == (grid, 10_000_000)
+    with pytest.raises(Formed):  # the cap itself is allowed
+        scan_exceptional(0.0, 1.0, grid=_SCAN_GRID_CAP, qmax=10)
 
 
 def test_orbit_info_bundles():

@@ -589,6 +589,52 @@ def test_bisection_refuses_to_stop_short_of_tol():
                                np.array([1.0]), 1e-17)
 
 
+def test_quarter_tol_proof_evaluates_one_far_point_per_root(monkeypatch):
+    """A refined root is its sign bracket's end on its own side, so its
+    sign is known.  The tol/4 proof's one kernel call holds one point per
+    root that reached it, tol/4 or less into the bracket, and never the
+    root itself; evaluating both ends of the tol/4 window took two."""
+    lam, k, tol = 5.0, 12, 1e-12
+    rng = np.random.default_rng(25)
+    level = band_hierarchy(lam, k)[k]
+    ends = np.concatenate([level.lo, level.hi])
+    lo = ends - 1e-9 * rng.uniform(0.0, 1.0, ends.size)
+    hi = lo + 1e-9
+    shift = np.sign(half_trace(lam, ends, k))
+    xlo, xhi = half_trace(lam, lo, k), half_trace(lam, hi, k)
+    held = (xlo > shift) != (xhi > shift)
+    lo, hi, xlo, xhi, shift = (a[held] for a in (lo, hi, xlo, xhi, shift))
+    calls, kernel = [], spectrum._half_trace
+
+    def logged(lam, E, k):
+        calls.append(E.copy())
+        return kernel(lam, E, k)
+
+    def no_bisection(*args):
+        raise AssertionError("a root fell back to bisection")
+
+    monkeypatch.setattr(spectrum, "_half_trace", logged)
+    monkeypatch.setattr(spectrum, "_bisect_roots", no_bisection)
+    roots = spectrum._refine_roots(lam, k, lo, hi, xlo, xhi, shift, tol)
+    monkeypatch.undo()
+
+    def above(E):
+        return half_trace(lam, E, k) > shift
+
+    # the roots that no sign change against a neighbouring float proves
+    unproved = ((above(np.nextafter(roots, np.inf)) == above(roots))
+                & (above(np.nextafter(roots, -np.inf)) == above(roots)))
+    assert 0 < np.count_nonzero(unproved) < roots.size
+    far = calls[-1]
+    assert far.size == np.count_nonzero(unproved)
+    r, b_lo, b_hi = roots[unproved], lo[unproved], hi[unproved]
+    nearest = np.argmin(np.abs(far[:, None] - r[None, :]), axis=1)
+    assert np.array_equal(np.sort(nearest), np.arange(r.size))
+    gap = np.abs(far - r[nearest])  # r +- tol/4 is rounded
+    assert np.all((gap > 0) & (gap <= tol / 4 + np.spacing(np.abs(r[nearest]))))
+    assert np.all((far >= b_lo[nearest]) & (far <= b_hi[nearest]))
+
+
 # ----------------------------------------------------------------------
 # The certificate of each endpoint
 # ----------------------------------------------------------------------
