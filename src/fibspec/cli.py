@@ -207,7 +207,10 @@ def _spectrum_payload(lam: float, k: int, tol: float):
 
 def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
                     dilate: float, tol: float):
-    _refuse_over_cap(n)  # before the matrix, the cover or the solve
+    # refused before the matrix, the cover or the solve
+    if not 0.0 <= dilate < math.inf:
+        raise ValueError("dilation must be finite and >= 0")
+    _refuse_over_cap(n)
     m = fibonacci_tridiagonal(lam, n, omega0)
     # the cover refuses a bad --k at once, before the eigensolve
     cover = None if k is None else band_hierarchy(lam, k + 1).cover(k).dilate(dilate)

@@ -99,13 +99,19 @@ def _count_cells(chunks: Iterable[tuple[np.ndarray, np.ndarray]],
                 f"cell size {eps!r} is past the precision floor: |x|/eps "
                 "reaches 2**53 at an endpoint x, where float cell indices "
                 "no longer tell neighbouring cells apart")
-        j0 = np.floor(lo / eps).astype(np.int64)
-        j1 = np.floor(hi / eps).astype(np.int64)
+        j0, j1 = _cells(lo, eps), _cells(hi, eps)
         total += (int(np.sum(j1 - j0)) + j0.size
                   - int(np.count_nonzero(j0[1:] == j1[:-1]))
                   - (int(j0[0]) == last))
         last = int(j1[-1])
     return total
+
+
+def _cells(x: np.ndarray, eps: float) -> np.ndarray:
+    """floor(x/eps) as int64 cell indices, floored in place so that a
+    chunk holds one float temporary at a time."""
+    q = x / eps
+    return np.floor(q, out=q).astype(np.int64)
 
 
 def box_dim_regression(

@@ -184,6 +184,19 @@ def test_size_cap_exit_three(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dilate", ["nan", "inf", "-1"])
+def test_oracle_dilate_refused_before_any_count(dilate, monkeypatch, capsys):
+    # without --k, -1 once exited 0 and nan ran the whole eigensolve
+    def no_count(self, t):
+        raise AssertionError("a Sturm sweep ran")
+    monkeypatch.setattr(hamiltonian.TridiagonalMatrix, "count_below", no_count)
+    assert cli.main(["oracle", "--lambda", "5", "--n", "8", "--dilate", dilate]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fibspec: invalid arguments: dilation must be "
+                            "finite and >= 0\n")
+
+
 def test_oversized_scan_grid_exits_three(monkeypatch, capsys):
     def no_grid(*args, **kwargs):
         raise AssertionError("grid formed")
@@ -509,8 +522,9 @@ REFUSALS_AND_CAVEATS = [  # (argv, exit code, stderr message or caveats)
     (["sweep", "--command", "dim", "--start", "6", "--stop", "6",
       "--count", "3", "--k", "7"], 1, "sweep needs start < stop"),
     (["oracle", "--lambda", "5", "--n", "0"], 1, "matrix size must be >= 1"),
-    *[(["oracle", "--lambda", "5", "--n", "8", "--k", "3", "--dilate", eps], 1,
-       "dilation must be finite and >= 0") for eps in ("nan", "inf", "-1")],
+    *[(["oracle", "--lambda", "5", "--n", "8", *k, "--dilate", eps], 1,
+       "dilation must be finite and >= 0")
+      for k in (["--k", "3"], []) for eps in ("nan", "inf", "-1")],
     (["spectrum", "--lambda", "inf", "--k", "4"], 1,
      "coupling must be finite"),
     (["spectrum", "--lambda", "nan", "--k", "4"], 1,

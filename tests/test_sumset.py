@@ -382,6 +382,24 @@ def test_kept_cover_memory_stays_small():
     assert peak <= 20 * 2**20
 
 
+def test_window_working_set_stays_small():
+    """Streaming the (20, 14) self-sum holds one window of 2**15 pairs at
+    a time, its pair sums built in place and its column indices released
+    before the merge: 1.83 MiB traced at the peak, against 3.75 MiB with
+    windows of 2**16 pairs built from temporaries."""
+    c = band_hierarchy(20.0, 15).cover(14)
+    for _ in sumset._sum_chunks(c, c):  # first-call allocations stay out
+        pass
+    tracemalloc.start()
+    try:
+        for _ in sumset._sum_chunks(c, c):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+
+
 def _random_set(rng, n):
     """n intervals with nested and zero-width ones among them; on a grid
     of quarters half the time, where many of them touch."""
