@@ -42,7 +42,7 @@ from .hamiltonian import _refuse_over_cap, eigenvalues, fibonacci_tridiagonal
 from .ifs import LinearIFS, attractor_cover, log_ratio_resonance, similarity_dim
 from .intervals import IntervalSet
 from .periodic import log_ratio, orbit_info, scan_exceptional
-from .spectrum import band_hierarchy, fibonacci_number
+from .spectrum import ENDPOINT_TOL, band_hierarchy, fibonacci_number
 from .sumset import check_theorem_rect, ladder_dimension
 
 INTERVAL_EMBED_CAP = 10_000
@@ -187,11 +187,11 @@ def _intervals_csv(named: list[tuple[str, IntervalSet]], write: _Write):
 # render_csv(write) writes the CSV text on demand, or is None
 # ----------------------------------------------------------------------
 
-def _spectrum_payload(lam: float, k: int, tol: float):
-    hier = band_hierarchy(lam, k + 1, tol)
+def _spectrum_payload(lam: float, k: int):
+    hier = band_hierarchy(lam, k + 1)
     sigma_k, sigma_k1, cover = hier[k], hier[k + 1], hier.cover(k)
     caveats: list[str] = []
-    config = {"lambda": lam, "k": k, "tol": tol}
+    config = {"lambda": lam, "k": k, "tol": ENDPOINT_TOL}
     result = {
         "band_count_k": len(sigma_k),
         "band_count_k_plus_1": len(sigma_k1),
@@ -236,15 +236,15 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
     return config, result, caveats, None
 
 
-def _dim_payload(lam: float, k: int, tol: float):
-    levels, covers = band_hierarchy(lam, k + 1, tol).ladder(k)
+def _dim_payload(lam: float, k: int):
+    levels, covers = band_hierarchy(lam, k + 1).ladder(k)
     box, moran = ladder_dimension(covers)
     caveats: list[str] = []
     if moran is None:
         caveats.append("cover bands too coarse for a partition exponent "
                        "(fewer than 2 bands, or lengths not all within (0,1), "
                        "or total length >= 1); only the box estimate is reported")
-    config = {"lambda": lam, "k": k, "tol": tol}
+    config = {"lambda": lam, "k": k, "tol": ENDPOINT_TOL}
     result = {
         "band_count": len(covers[-1]),
         "levels": levels,
@@ -254,15 +254,14 @@ def _dim_payload(lam: float, k: int, tol: float):
     return config, result, caveats, None
 
 
-def _sum_payload(lam: float, k: int, lambda2: float | None, tol: float,
-                 csv: bool = False):
+def _sum_payload(lam: float, k: int, lambda2: float | None, csv: bool = False):
     if lambda2 is None:
         lambda2 = lam
     # keep the finest sum cover only where a document lists it
-    report = check_theorem_rect(lam, lambda2, k, tol=tol,
+    report = check_theorem_rect(lam, lambda2, k,
                                 cover_cap=None if csv else INTERVAL_EMBED_CAP)
     caveats = list(report.caveats)
-    config = {"lambda1": lam, "lambda2": lambda2, "k": k, "tol": tol}
+    config = {"lambda1": lam, "lambda2": lambda2, "k": k, "tol": ENDPOINT_TOL}
     result = {
         "levels": report.levels,
         "hd1": asdict(report.hd1_est),
@@ -476,13 +475,12 @@ class _Command:
 
 _LAMBDA = _Flag("--lambda", dest="lam", type=float, required=True)
 _K = _Flag("--k", type=int, required=True)
-_TOL = _Flag("--tol", type=float, default=1e-12)
 
 _COMMANDS: dict[str, _Command] = {
     "spectrum": _Command(
         "band covers of the spectrum at one coupling",
-        (_LAMBDA, _K, _TOL), _spectrum_payload,
-        _Sweep("--lambda", ("--k", "--tol"),
+        (_LAMBDA, _K), _spectrum_payload,
+        _Sweep("--lambda", ("--k",),
                ("band_count_k", "band_count_k_plus_1", "cover_count",
                 "cover_lo", "cover_hi", "cover_total_length"),
                lambda r: [r["band_count_k"], r["band_count_k_plus_1"],
@@ -509,8 +507,8 @@ _COMMANDS: dict[str, _Command] = {
         csv=False),
     "dim": _Command(
         "dimension estimates of the level-k cover",
-        (_LAMBDA, _K, _TOL), _dim_payload,
-        _Sweep("--lambda", ("--k", "--tol"),
+        (_LAMBDA, _K), _dim_payload,
+        _Sweep("--lambda", ("--k",),
                ("band_count", "moran_value", "box_value", "box_stderr"),
                lambda r: [r["band_count"],
                           None if r["moran"] is None else r["moran"]["value"],
@@ -518,9 +516,9 @@ _COMMANDS: dict[str, _Command] = {
         csv=False),
     "sum": _Command(
         "sum-set dimension comparison at one or two couplings",
-        (_LAMBDA, _Flag("--lambda2", type=float, default=None), _K, _TOL),
+        (_LAMBDA, _Flag("--lambda2", type=float, default=None), _K),
         _sum_payload,
-        _Sweep("--lambda", ("--lambda2", "--k", "--tol"),
+        _Sweep("--lambda", ("--lambda2", "--k"),
                ("hd1", "hd2", "sum_dim", "rhs", "gap", "sum_component_count"),
                lambda r: [r["hd1"]["value"], r["hd2"]["value"],
                           r["sum_dim"]["value"], r["rhs"], r["gap"],

@@ -58,19 +58,19 @@ O(1) values, not of E: near E = 0 a step of a few ulps of E may never
 come.  Each root is then
 proved, by a sign change between it and the next float, where the root
 moves to the one of the two outside its band, or else by a sign change
-within tol/4 of it; a root that fails both is bisected to adjacent
-floats.  So every endpoint lies within tol/4 of a sign change of
-x_k -+ 1, 72% within one ulp (381,633 of 528,244 roots in the
+within ENDPOINT_TOL/4 of it; a root that fails both is bisected to
+adjacent floats.  So every endpoint lies within ENDPOINT_TOL/4 of a sign
+change of x_k -+ 1, 72% within one ulp (381,633 of 528,244 roots in the
 ``band_cover`` benchmark), at about a fifth of the kernel calls that
-bisecting every bracket to ``tol`` took.  Only the one-ulp proof puts
-the endpoint outside its band: sigma_0 at lam = 63.699799115272214 comes
-out as [-2.0, 1.9999999999999991], 4 ulps inside [-2, 2].  So the covers
-contain the spectrum only up to tol/4 at band ends.
+bisecting every bracket to ENDPOINT_TOL took.  Only the one-ulp proof
+puts the endpoint outside its band: sigma_0 at lam = 63.699799115272214
+comes out as [-2.0, 1.9999999999999991], 4 ulps inside [-2, 2].  So the
+covers contain the spectrum only up to ENDPOINT_TOL/4 at band ends.
 
 ``band_hierarchy`` returns the levels as a ``BandHierarchy``: a tuple
 that also forms the two-level covers sigma_j | sigma_{j+1}, which contain
-the spectrum and are nested, both up to tol/4 at band ends, and their
-ladders.
+the spectrum and are nested, both up to ENDPOINT_TOL/4 at band ends, and
+their ladders.
 """
 
 from __future__ import annotations
@@ -92,6 +92,11 @@ _STEP_ULPS = 4  # a root stops once its step is at most this times max(|root|, 1
 _REFINE_PASSES = 12  # interpolation passes before a root is proved as it stands
 _MULLER_AGAIN = 3  # the pass from which Muller's steps replace secant steps
 _MAX_LEVEL = 30  # deepest level built; time and memory grow about 1.6x per level
+
+ENDPOINT_TOL = 1e-12
+"""Endpoint tolerance of the band finder: each band endpoint is proved
+within ENDPOINT_TOL/4 of a sign change of x_k -+ 1, and a coupling whose
+energies near lam + 3 lie further apart than ENDPOINT_TOL is refused."""
 
 LADDER_LEVELS = 4
 """Cover levels k-3 .. k enter the sum-dimension regression."""
@@ -125,6 +130,10 @@ class BandHierarchy(tuple):
         """The two-level cover sigma_j | sigma_{j+1}."""
         if j < 0:  # j = -1 would index sigma_{k_max} from the end
             raise ValueError("level must be >= 0")
+        if j >= len(self) - 1:
+            raise ValueError(f"level must be <= {len(self) - 2}: a cover needs "
+                             f"the level above it, and the hierarchy ends at "
+                             f"level {len(self) - 1}")
         return self[j].union(self[j + 1])
 
     def ladder(self, k: int) -> tuple[list[int], list[IntervalSet]]:
@@ -201,8 +210,7 @@ def _parabola_step(x0, f0, x1, f1, x2, f2):
 
 
 def _refine_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
-                  xlo: np.ndarray, xhi: np.ndarray, shift: np.ndarray,
-                  tol: float) -> np.ndarray:
+                  xlo: np.ndarray, xhi: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Roots of x_k - shift in the sign-change brackets [lo, hi], each
     bracket refined on its own.
 
@@ -224,11 +232,11 @@ def _refine_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
     the two, the root becomes whichever of them lies outside the band: a
     band keeps every float it holds, even a single one, and bands of two
     levels that meet at a common root overlap in their union.  Elsewhere a
-    second pass evaluates x_k only tol/4 from the root into its bracket,
-    as the root is the bracket's end of its own sign; a sign change there
-    proves the root, which may lie up to tol/4 inside its band.  A root
-    that fails that too is bisected from its bracket.  No root depends on
-    which brackets are refined with it.
+    second pass evaluates x_k only ENDPOINT_TOL/4 from the root into its
+    bracket, as the root is the bracket's end of its own sign; a sign
+    change there proves the root, which may lie up to ENDPOINT_TOL/4
+    inside its band.  A root that fails that too is bisected from its
+    bracket.  No root depends on which brackets are refined with it.
     """
     n = lo.size
     pos = xlo > shift  # x_k - shift is positive on lo's side
@@ -277,8 +285,7 @@ def _refine_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
         roots[i], side[i], klo[i], khi[i] = x1, low, a, b
 
     # the float next to each root, towards the other end of its bracket
-    away = side == (roots >= 0)  # towards the other end is away from zero
-    q = (roots.view(np.int64) + (2 * away.astype(np.int64) - 1)).view(np.float64)
+    q = np.nextafter(roots, np.where(side, np.inf, -np.inf))
     q_side = (_half_trace(lam, q, k) > shift) == pos
     found = (q_side != side) & (q >= klo) & (q <= khi)
     band_lo = pos == (shift < 0)  # |x_k| <= 1 on lo's side
@@ -286,21 +293,22 @@ def _refine_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
     j = np.flatnonzero(~found)
     if j.size:
         r, s = roots[j], side[j]
-        far = np.where(s, np.minimum(r + tol / 4.0, khi[j]),
-                       np.maximum(r - tol / 4.0, klo[j]))
+        far = np.where(s, np.minimum(r + ENDPOINT_TOL / 4.0, khi[j]),
+                       np.maximum(r - ENDPOINT_TOL / 4.0, klo[j]))
         j = j[((_half_trace(lam, far, k) > shift[j]) == pos[j]) == s]
         if j.size:
-            roots[j] = _bisect_roots(lam, k, klo[j], khi[j], pos[j], shift[j], tol)
+            roots[j] = _bisect_roots(lam, k, klo[j], khi[j], pos[j], shift[j])
     return roots
 
 
 def _bisect_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
-                  glo_pos: np.ndarray, shift: np.ndarray, tol: float) -> np.ndarray:
+                  glo_pos: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Bisect sign-change brackets of x_k - shift until their ends are
     adjacent floats, and return the end of each outside the band.
 
     ``glo_pos`` says whether x_k > shift at lo.  Raises ValueError if a
-    bracket is still wider than ``tol``: one float spacing cannot be halved.
+    bracket is still wider than ``ENDPOINT_TOL``: one float spacing cannot
+    be halved.
     """
     lo, hi = lo.copy(), hi.copy()
     # a bracket no wider than the window, 2 * (lam + 3), spans fewer than
@@ -314,14 +322,14 @@ def _bisect_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
         np.copyto(lo, mid, where=low & wide)
         np.copyto(hi, mid, where=~low & wide)
     width = float(np.max(hi - lo, initial=0.0))
-    if width > tol:
+    if width > ENDPOINT_TOL:
         raise ValueError(f"bisection stopped at bracket width {width:.3g}, "
-                         f"above the tolerance {tol:.3g}")
+                         f"above the tolerance {ENDPOINT_TOL:.3g}")
     return np.where(glo_pos == (shift < 0), hi, lo)
 
 
 def _scan_parents(lam: float, k: int, parents: IntervalSet,
-                  points: int | np.ndarray, tol: float) -> IntervalSet:
+                  points: int | np.ndarray) -> IntervalSet:
     """Locate the bands of sigma_k inside each parent interval.
 
     Scans a uniform local grid per parent for sign changes of
@@ -377,7 +385,7 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
         p0 = p1
         if n_pending >= _BLOCK_POINTS or (p0 == n_par and n_pending):
             brackets = [np.concatenate(b) for b in zip(*pending)]
-            roots.append(_refine_roots(lam, k, *brackets, tol))
+            roots.append(_refine_roots(lam, k, *brackets))
             pending, n_pending = [], 0
 
     cuts = np.sort(np.concatenate([parents.lo, *roots, parents.hi]))
@@ -389,7 +397,7 @@ def _scan_parents(lam: float, k: int, parents: IntervalSet,
 
 
 def _level_bands(lam: float, k: int, parents: IntervalSet,
-                 expect: np.ndarray, tol: float) -> IntervalSet:
+                 expect: np.ndarray) -> IntervalSet:
     """Bands of sigma_k inside ``parents``, certified to number F_k.
 
     ``expect[p]`` is the number of bands of the two levels before k that
@@ -402,7 +410,7 @@ def _level_bands(lam: float, k: int, parents: IntervalSet,
     """
     expected = fibonacci_number(k)
     points = np.minimum(_POINTS_PER_BAND * expect, _RUNGS[0])
-    bands = _scan_parents(lam, k, parents, points, tol)
+    bands = _scan_parents(lam, k, parents, points)
     while len(bands) != expected:
         owner = np.searchsorted(parents.lo, bands.lo, "right") - 1
         found = np.bincount(owner, minlength=len(parents))
@@ -412,21 +420,24 @@ def _level_bands(lam: float, k: int, parents: IntervalSet,
         points[short] = np.take(_RUNGS, np.searchsorted(_RUNGS, points[short], "right"))
         rescanned = _scan_parents(
             lam, k, IntervalSet._from_normalized(parents.lo[short], parents.hi[short]),
-            points[short], tol)
+            points[short])
         kept = ~short[owner]
         bands = IntervalSet.from_arrays(np.concatenate([bands.lo[kept], rescanned.lo]),
                                         np.concatenate([bands.hi[kept], rescanned.hi]))
     return bands
 
 
-def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> BandHierarchy:
+def band_hierarchy(lam: float, k_max: int) -> BandHierarchy:
     """sigma_0 .. sigma_{k_max} computed by hierarchical refinement.
 
     Levels 0 and 1 are isolated from a scan of the operator-norm window
     [-2 - lam, 2 + lam] (padded so boundary roots produce sign changes);
     every later level is isolated inside the merged bands of the two
-    levels before it.  Raises SizeCapError, before any scan, when
-    ``k_max`` is past ``_MAX_LEVEL``.
+    levels before it.  Each band endpoint is proved within
+    ENDPOINT_TOL/4 of a sign change.  Raises ValueError where the float
+    spacing of energies near lam + 3 exceeds ENDPOINT_TOL (lam + 3 >= 8192),
+    and SizeCapError, before any scan, when ``k_max`` is past
+    ``_MAX_LEVEL``.
     """
     if lam <= 0:
         raise ValueError("coupling must be > 0 for spectral band computation")
@@ -434,22 +445,20 @@ def band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> BandHierarchy:
         raise ValueError("coupling must be finite")
     if k_max < 0:
         raise ValueError("level must be >= 0")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and > 0")
     spacing = float(np.spacing(lam + 3.0))
-    if tol < spacing:
-        raise ValueError(f"tolerance {tol:.3g} is below the float spacing "
-                         f"{spacing:.3g} of energies near {lam + 3.0:g}")
+    if ENDPOINT_TOL < spacing:
+        raise ValueError(f"tolerance {ENDPOINT_TOL:.3g} is below the float "
+                         f"spacing {spacing:.3g} of energies near {lam + 3.0:g}")
     if k_max > _MAX_LEVEL:
         raise SizeCapError("band hierarchy levels", k_max + 1, _MAX_LEVEL + 1)
     window = IntervalSet([(-2.0 - lam - 1.0, 2.0 + lam + 1.0)])
     levels: list[IntervalSet] = []
     for k in range(min(k_max, 1) + 1):
-        levels.append(_level_bands(lam, k, window, np.ones(1, dtype=np.int64), tol))
+        levels.append(_level_bands(lam, k, window, np.ones(1, dtype=np.int64)))
     for k in range(2, k_max + 1):
         parents = levels[k - 2].union(levels[k - 1])
         merged = np.concatenate([levels[k - 2].lo, levels[k - 1].lo])
         expect = np.bincount(np.searchsorted(parents.lo, merged, "right") - 1,
                              minlength=len(parents))
-        levels.append(_level_bands(lam, k, parents, expect, tol))
+        levels.append(_level_bands(lam, k, parents, expect))
     return BandHierarchy(lam, levels)

@@ -273,12 +273,12 @@ def _factor_report(covers: list[IntervalSet], which: str,
     return est
 
 
-def check_theorem_rect(lambda1: float, lambda2: float, k: int,
-                       tol: float = 1e-12,
+def check_theorem_rect(lambda1: float, lambda2: float, k: int, *,
                        cover_cap: int | None = 10_000) -> TheoremReport:
     """Compare dim(cover(lambda1,k) + cover(lambda2,k)) with
-    min(d1 + d2, 1) over cover levels k-3 .. k.  Depth is bounded only
-    by SUM_PAIR_CAP, charged before any sum is formed.
+    min(d1 + d2, 1) over cover levels k-3 .. k, whose band endpoints are
+    proved to the fixed spectrum.ENDPOINT_TOL.  Depth is bounded only by
+    SUM_PAIR_CAP, charged before any sum is formed.
 
     All four ladder sums go to one box_dim_regression call as streams
     of merge windows, each counted at the wider of its factors' widest
@@ -287,9 +287,9 @@ def check_theorem_rect(lambda1: float, lambda2: float, k: int,
     it (count, hull, total length) and keeps its cover for the report
     only if it has at most cover_cap components (None: any number).
     """
-    levels, covers1 = band_hierarchy(lambda1, k + 1, tol).ladder(k)
+    levels, covers1 = band_hierarchy(lambda1, k + 1).ladder(k)
     covers2 = (covers1 if lambda2 == lambda1
-               else band_hierarchy(lambda2, k + 1, tol).ladder(k)[1])
+               else band_hierarchy(lambda2, k + 1).ladder(k)[1])
     # Refuse an oversized finest sum before forming the coarser ones.
     _charged_pairs(covers1[-1], covers2[-1])
 

@@ -16,7 +16,7 @@ from fibspec import (IntervalSet, LinearIFS, Point3, TheoremReport,
                      fibonacci_number, invariant_gradient)
 from fibspec import cli, sumset
 from fibspec.errors import BandIsolationError, EigenvalueSeparationError
-from fibspec.spectrum import LADDER_LEVELS
+from fibspec.spectrum import ENDPOINT_TOL, LADDER_LEVELS
 
 # Self-similar sets of known dimension for the IFS sandbox: log 2 / log 3,
 # 1/2 and 1.
@@ -192,19 +192,19 @@ def unblocked_bisect_roots(lam: float, k: int, lo: np.ndarray, hi: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def where_bisect_refine(lam, k, lo, hi, xlo, xhi, shift, tol):
-    """``unblocked_bisect_roots`` behind the library's refinement signature."""
-    return unblocked_bisect_roots(lam, k, lo, hi, xlo > shift, shift, tol)
+def where_bisect_refine(lam, k, lo, hi, xlo, xhi, shift):
+    """``unblocked_bisect_roots`` to the library's endpoint tolerance,
+    behind the library's refinement signature."""
+    return unblocked_bisect_roots(lam, k, lo, hi, xlo > shift, shift, ENDPOINT_TOL)
 
 
 def unblocked_scan_parents(lam: float, k: int, parents: IntervalSet,
-                           points: int, tol: float,
-                           refine=where_bisect_refine) -> IntervalSet:
+                           points: int, refine=where_bisect_refine) -> IntervalSet:
     """Locate the bands of sigma_k inside each parent interval.
 
     Scans a uniform local grid per parent for sign changes of
     x_k -(+1) and x_k -(-1), refines every bracket (all parents at once)
-    with ``refine(lam, k, lo, hi, x_lo, x_hi, shift, tol)``, then
+    with ``refine(lam, k, lo, hi, x_lo, x_hi, shift)``, then
     classifies the gaps between consecutive certified roots by a midpoint
     membership test.  Bands are clipped to their parent, which is
     harmless: the covering property puts every true band inside some
@@ -232,7 +232,7 @@ def unblocked_scan_parents(lam: float, k: int, parents: IntervalSet,
     if blo:
         roots = refine(lam, k, np.concatenate(blo), np.concatenate(bhi),
                        np.concatenate(bxlo), np.concatenate(bxhi),
-                       np.concatenate(bshift), tol)
+                       np.concatenate(bshift))
         rparent = np.concatenate(bparent)
         order = np.lexsort((roots, rparent))
         roots = roots[order]
@@ -271,13 +271,13 @@ def unblocked_scan_parents(lam: float, k: int, parents: IntervalSet,
     return IntervalSet.from_arrays(cuts[starts], cuts[ends])
 
 
-def uniform_band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[IntervalSet]:
+def uniform_band_hierarchy(lam: float, k_max: int) -> list[IntervalSet]:
     """sigma_0 .. sigma_{k_max} as found before grids were sized per parent.
 
     Every parent of a level is scanned at 256 points by
     ``unblocked_scan_parents``; while the level's count is short of F_k,
     every parent is rescanned at 4x the points, up to 16384.  Endpoints of
-    the library's hierarchy must lie within ``tol`` of these.
+    the library's hierarchy must lie within ``ENDPOINT_TOL`` of these.
     """
     window = IntervalSet([(-2.0 - lam - 1.0, 2.0 + lam + 1.0)])
     levels: list[IntervalSet] = []
@@ -285,7 +285,7 @@ def uniform_band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[I
         parents = window if k < 2 else levels[k - 2].union(levels[k - 1])
         expected = fibonacci_number(k)
         for points in (256, 1024, 4096, 16384):
-            bands = unblocked_scan_parents(lam, k, parents, points, tol)
+            bands = unblocked_scan_parents(lam, k, parents, points)
             if len(bands) == expected:
                 break
         else:
@@ -301,10 +301,9 @@ def uniform_band_hierarchy(lam: float, k_max: int, tol: float = 1e-12) -> list[I
 # return the same endpoints, bit for bit, and the same refusals.
 # ----------------------------------------------------------------------
 
-def spectrum_cover(lam: float, k: int, tol: float = 1e-12
-                   ) -> tuple[IntervalSet, IntervalSet, IntervalSet]:
+def spectrum_cover(lam: float, k: int) -> tuple[IntervalSet, IntervalSet, IntervalSet]:
     """sigma_k, sigma_{k+1} and their union."""
-    levels = list(band_hierarchy(lam, k + 1, tol))
+    levels = list(band_hierarchy(lam, k + 1))
     if k < 0:  # k = -1 passes the hierarchy's checks, then indexes from the end
         raise ValueError("level must be >= 0")
     sk = levels[k]
@@ -312,15 +311,14 @@ def spectrum_cover(lam: float, k: int, tol: float = 1e-12
     return sk, sk1, sk.union(sk1)
 
 
-def cover_ladder(lam: float, k: int,
-                 tol: float = 1e-12) -> tuple[list[int], list[IntervalSet]]:
+def cover_ladder(lam: float, k: int) -> tuple[list[int], list[IntervalSet]]:
     """Cover levels k-3 .. k and their covers, coarse to fine, refused
     for k < 3 before any hierarchy is built, and where two consecutive
     covers share their widest band."""
     if not (k >= LADDER_LEVELS - 1):
         raise ValueError(f"need k >= {LADDER_LEVELS - 1} for the level ladder")
     levels = list(range(k - LADDER_LEVELS + 1, k + 1))
-    hier = list(band_hierarchy(lam, k + 1, tol=tol))
+    hier = list(band_hierarchy(lam, k + 1))
     covers = [hier[j].union(hier[j + 1]) for j in levels]
     for j, coarse, fine in zip(levels, covers, covers[1:]):
         if fine.max_length >= coarse.max_length:
@@ -403,16 +401,15 @@ def unblocked_box_count(s: IntervalSet, eps: float) -> int:
     return int(np.sum(np.maximum(0, j1 - start + 1)))
 
 
-def materialized_check_theorem_rect(lambda1: float, lambda2: float, k: int,
-                                    tol: float = 1e-12,
+def materialized_check_theorem_rect(lambda1: float, lambda2: float, k: int, *,
                                     cover_cap: int | None = None) -> TheoremReport:
     """check_theorem_rect as it stood before the sums were streamed: all
     four ladder sums are formed by minkowski_sum and held, then box-counted
     by box_dim_regression.  The finest cover is always kept, whatever
     cover_cap says; a document lists it only where it may."""
-    levels, covers1 = band_hierarchy(lambda1, k + 1, tol).ladder(k)
+    levels, covers1 = band_hierarchy(lambda1, k + 1).ladder(k)
     covers2 = (covers1 if lambda2 == lambda1
-               else band_hierarchy(lambda2, k + 1, tol).ladder(k)[1])
+               else band_hierarchy(lambda2, k + 1).ladder(k)[1])
     sumset._charged_pairs(covers1[-1], covers2[-1])
 
     sums = [minkowski_sum(covers1[i], covers2[i]) for i in range(len(levels))]

@@ -144,19 +144,56 @@ def test_periodic_scan_tol_validated_up_front(tol, monkeypatch, capsys):
                             f"finite and >= 0, got {float(tol)}\n")
 
 
+_NO_TOL = "fibspec: error: unrecognized arguments: --tol"
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--lambda", "5", "--n", "8"],
+     "fibspec: invalid arguments: tolerance must be finite"),
+    (["spectrum", "--lambda", "5", "--k", "3"], _NO_TOL),
+    (["dim", "--lambda", "5", "--k", "4"], _NO_TOL),
+    (["sum", "--lambda", "5", "--k", "4"], _NO_TOL),
+    (["sweep", "--command", "oracle", "--n", "8", "--start", "1", "--stop",
+      "2", "--count", "2"],
+     "fibspec: invalid arguments: tolerance must be finite"),
+], ids=["oracle", "spectrum", "dim", "sum", "sweep"])
+def test_non_finite_tol_exits_one(argv, message, tol, capsys):
+    """The eigensolver refuses a non-finite --tol.  The band finder's
+    tolerance is the constant spectrum.ENDPOINT_TOL, so spectrum, dim and
+    sum refuse --tol whatever its value."""
+    assert cli.main(argv + ["--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("argv", [
-    ["oracle", "--lambda", "5", "--n", "8"],
     ["spectrum", "--lambda", "5", "--k", "3"],
     ["dim", "--lambda", "5", "--k", "4"],
     ["sum", "--lambda", "5", "--k", "4"],
-    ["sweep", "--command", "oracle", "--n", "8", "--start", "1", "--stop",
-     "2", "--count", "2"],
 ], ids=lambda a: a[0])
-def test_non_finite_tol_exits_one(argv, tol, capsys):
-    assert cli.main(argv + ["--tol", tol]) == 1
-    err = capsys.readouterr().err
-    assert "fibspec: invalid arguments: tolerance must be finite" in err
+def test_band_finder_tolerance_is_the_constant(argv, capsys):
+    """The band-finding commands echo spectrum.ENDPOINT_TOL as their
+    "tol" and take no --tol."""
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["tol"] == spectrum.ENDPOINT_TOL
+    assert cli.main(argv + ["--tol", "1e-10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _NO_TOL in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--lambda", "5", "--n", "8", "--tol", "1e-9"],
+    ["sweep", "--command", "oracle", "--n", "8", "--start", "1", "--stop",
+     "2", "--count", "2", "--tol", "1e-9"],
+], ids=lambda a: a[0])
+def test_eigensolver_tolerance_still_set(argv, capsys):
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["tol"] == 1e-9
 
 
 def test_tol_below_float_spacing_exits_one(capsys):
@@ -350,25 +387,24 @@ def test_unwritable_output_exits_one(where, tmp_path, capsys):
     assert list(tmp_path.rglob("*.part")) == []
 
 
-@pytest.mark.parametrize("lam, lam2, k, tol", [
-    ("20", None, "12", "1e-12"),   # partition exponent agrees with box
-    ("5", None, "8", "1e-10"),     # disagrees
-    ("1", None, "8", "1e-12"),     # bands too coarse for one
-    ("20", "1", "10", "1e-12"),    # two factors: disagrees, too coarse
+@pytest.mark.parametrize("lam, lam2, k", [
+    ("20", None, "12"),   # partition exponent agrees with box
+    ("5", None, "8"),     # disagrees
+    ("1", None, "8"),     # bands too coarse for one
+    ("20", "1", "10"),    # two factors: disagrees, too coarse
 ])
-def test_sum_factors_are_dim_estimates(lam, lam2, k, tol, capsys):
+def test_sum_factors_are_dim_estimates(lam, lam2, k, capsys):
     """sum's hd1/hd2 are dim's box estimates, and sum flags a factor
     exactly where dim's partition exponent is missing or is more than
     CROSS_CHECK_TOL from the box value."""
-    argv = ["sum", "--lambda", lam, "--k", k, "--tol", tol]
+    argv = ["sum", "--lambda", lam, "--k", k]
     code, out = run(argv + ([] if lam2 is None else ["--lambda2", lam2]),
                     capsys)
     assert code == 0
     doc = json.loads(out)
     for key, factor, which in (("hd1", lam, "factor 1"),
                                ("hd2", lam2 or lam, "factor 2")):
-        code, out = run(["dim", "--lambda", factor, "--k", k, "--tol", tol],
-                        capsys)
+        code, out = run(["dim", "--lambda", factor, "--k", k], capsys)
         assert code == 0
         dim = json.loads(out)["result"]
         assert doc["result"][key] == dim["box"]
@@ -604,7 +640,7 @@ def test_sweep_refuses_jobs_below_one(capsys):
 
 _LABELS = {"periodic": "a"}
 _SWEEPS = {
-    "spectrum": (["--k", "3"], {"k": 3, "tol": 1e-12},
+    "spectrum": (["--k", "3"], {"k": 3},
                  ["band_count_k", "band_count_k_plus_1", "cover_count",
                   "cover_lo", "cover_hi", "cover_total_length"]),
     "oracle": (["--n", "13"],
@@ -612,9 +648,9 @@ _SWEEPS = {
                 "tol": 1e-10},
                ["eigenvalue_count", "min_eigenvalue", "max_eigenvalue",
                 "fraction_inside"]),
-    "dim": (["--k", "4"], {"k": 4, "tol": 1e-12},
+    "dim": (["--k", "4"], {"k": 4},
             ["band_count", "moran_value", "box_value", "box_stderr"]),
-    "sum": (["--k", "4"], {"k": 4, "lambda2": None, "tol": 1e-12},
+    "sum": (["--k", "4"], {"k": 4, "lambda2": None},
             ["hd1", "hd2", "sum_dim", "rhs", "gap", "sum_component_count"]),
     "periodic": ([], {}, ["log_ratio", "multiplier_p_closed",
                           "multiplier_q_closed"]),
@@ -648,7 +684,7 @@ def test_sweep_csv_rows_as_wide_as_header(name, capsys):
 
 
 @pytest.mark.parametrize("name, extra", [
-    ("spectrum", ["--tol", "1e-10"]),
+    ("spectrum", []),
     ("oracle", ["--k", "5", "--omega0", "0.25", "--dilate", "0.1"]),
     ("dim", []),
     ("sum", ["--lambda2", "8"]),
@@ -681,6 +717,7 @@ def test_sweep_requires_flag(name, flag, capsys):
     ("spectrum", ["--k", "3", "--n", "5"], "--n"),
     ("dim", ["--k", "4", "--lambda2", "6"], "--lambda2"),
     ("sum", ["--k", "4", "--dilate", "0.1"], "--dilate"),
+    ("spectrum", ["--k", "3", "--tol", "1e-10"], "--tol"),
 ])
 def test_sweep_refuses_flag_the_command_does_not_take(name, extra, flag,
                                                       capsys):

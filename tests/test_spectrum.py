@@ -103,7 +103,7 @@ def test_refinement_within_half_tol_of_where_bisection(lam):
     inside the bracket, and the arguments are left alone.  Where sigma_k
     puts a single endpoint in the bracket, so that it holds one crossing,
     the root is within tol/2 of the one np.where bisection returns."""
-    tol = 1e-12
+    tol = spectrum.ENDPOINT_TOL
     rng = np.random.default_rng(13)
     hier = band_hierarchy(lam, 16)
     ends16 = np.concatenate([hier[16].lo, hier[16].hi])
@@ -120,7 +120,7 @@ def test_refinement_within_half_tol_of_where_bisection(lam):
         held = (xlo > shift) != (xhi > shift)
         args = [a[held] for a in (lo, hi, xlo, xhi, shift)]
         before = [a.copy() for a in args]
-        got = spectrum._refine_roots(lam, k, *args, tol)
+        got = spectrum._refine_roots(lam, k, *args)
         assert all(np.array_equal(a, b) for a, b in zip(args, before))
         lo, hi, xlo, _, shift = args
         pos = xlo > shift
@@ -179,6 +179,12 @@ def test_cover_refuses_negative_level(k):
         band_hierarchy(5.0, 3).cover(k)
     with pytest.raises(ValueError, match="level must be >= 0"):
         band_hierarchy(5.0, k + 1).cover(k)  # the path of spectrum --k
+    # a cover at or past the top level once raised a bare IndexError
+    hier, top = band_hierarchy(5.0, 6), 5 - k
+    with pytest.raises(ValueError, match="level must be <= 5: .* ends at level 6"):
+        hier.cover(top)
+    with pytest.raises(ValueError, match="level must be <= 5: .* ends at level 6"):
+        hier.ladder(top)
 
 
 def test_hierarchy_survives_copy_and_pickle():
@@ -300,9 +306,9 @@ def test_hierarchy_consistent_with_direct_bands():
 def test_hierarchy_within_tol_of_uniform_scan(lam):
     """Grids sized per parent bisect from other brackets, so endpoints
     move in their last bits, but never by more than ``tol``."""
-    tol = 1e-12
-    got = band_hierarchy(lam, 15, tol)
-    want = oracles.uniform_band_hierarchy(lam, 15, tol)
+    tol = spectrum.ENDPOINT_TOL
+    got = band_hierarchy(lam, 15)
+    want = oracles.uniform_band_hierarchy(lam, 15)
     assert len(got) == len(want) == 16
     for g, w in zip(got, want):
         assert len(g) == len(w)
@@ -476,8 +482,8 @@ def test_scan_bit_identical_to_unblocked_scan(points, parents):
             assert len(parents) % (spectrum._BLOCK_POINTS // points) != 0
     else:
         parents = _edge_parents(parents)
-    got = spectrum._scan_parents(5.0, 12, parents, points, 1e-12)
-    want = oracles.unblocked_scan_parents(5.0, 12, parents, points, 1e-12,
+    got = spectrum._scan_parents(5.0, 12, parents, points)
+    want = oracles.unblocked_scan_parents(5.0, 12, parents, points,
                                           refine=spectrum._refine_roots)
     assert len(got) > 0
     assert np.array_equal(got.lo, want.lo)
@@ -494,8 +500,8 @@ def test_scan_clips_a_band_to_its_parent():
     lo, hi = -0.27, np.nextafter(end, -np.inf)
     assert lo + (hi - lo) == end
     parents = IntervalSet([(lo, hi)])
-    got = spectrum._scan_parents(5.0, 12, parents, 256, 1e-12)
-    want = oracles.unblocked_scan_parents(5.0, 12, parents, 256, 1e-12,
+    got = spectrum._scan_parents(5.0, 12, parents, 256)
+    want = oracles.unblocked_scan_parents(5.0, 12, parents, 256,
                                           refine=spectrum._refine_roots)
     assert want.hi[-1] == end
     assert np.array_equal(got.lo, want.lo)
@@ -517,7 +523,7 @@ def test_scan_evaluates_only_inside_the_parent(monkeypatch):
         return half_trace(lam, E, k)
 
     monkeypatch.setattr(spectrum, "_half_trace", recording)
-    got = spectrum._scan_parents(5.0, 12, IntervalSet([(lo, hi)]), 256, 1e-12)
+    got = spectrum._scan_parents(5.0, 12, IntervalSet([(lo, hi)]), 256)
     E = np.concatenate(evaluated)
     assert len(got) > 0 and E.size > 256
     assert np.all((lo <= E) & (E <= hi))
@@ -565,11 +571,13 @@ def test_escalated_scan_memory_stays_small():
 
 def test_tol_below_float_spacing_refused():
     # doubles near 1e5 are 1.46e-11 apart, so no bracket reaches 1e-12
-    with pytest.raises(ValueError, match="float spacing 1.46e-11"):
+    with pytest.raises(ValueError, match="tolerance 1e-12 is below the float "
+                                         "spacing 1.46e-11 of energies near 100003"):
         band_hierarchy(1e5, 2)
-    with pytest.raises(ValueError, match="float spacing 1.14e-13"):
-        band_hierarchy(1000.0, 2, tol=1e-13)
-    assert len(band_hierarchy(1e5, 2, tol=2e-11)[2]) == 2
+    # doubles in [8192, 16384) are 1.82e-12 apart, those below 8192 half that
+    with pytest.raises(ValueError, match="float spacing 1.82e-12"):
+        band_hierarchy(8189.0, 2)
+    assert len(band_hierarchy(np.nextafter(8189.0, 0.0), 2)[2]) == 2
 
 
 def test_tol_above_float_spacing_answered_at_strong_coupling():
@@ -577,16 +585,35 @@ def test_tol_above_float_spacing_answered_at_strong_coupling():
     assert [len(s) for s in levels] == [fibonacci_number(k) for k in range(8)]
 
 
-def test_bisection_refuses_to_stop_short_of_tol():
+def test_bisection_refuses_to_stop_short_of_tol(monkeypatch):
     """A bracket one ulp wide, whose ends claim a sign change that x_3 does
     not have, fails both proofs; the bisection it falls back to cannot
     shrink it below a tolerance finer than the ulp."""
     lo = np.array([1.0])
     hi = np.nextafter(lo, 2.0)
     assert np.all(half_trace(5.0, np.concatenate([lo, hi]), 3) > 11.0)
-    with pytest.raises(ValueError, match="above the tolerance"):
+    monkeypatch.setattr(spectrum, "ENDPOINT_TOL", 1e-17)
+    with pytest.raises(ValueError, match="above the tolerance 1e-17"):
         spectrum._refine_roots(5.0, 3, lo, hi, np.array([2.0]), np.array([0.0]),
-                               np.array([1.0]), 1e-17)
+                               np.array([1.0]))
+
+
+@pytest.mark.parametrize("lam", [3.75, 19.15])
+def test_one_ulp_proof_steps_off_zero_to_a_finite_float(lam, monkeypatch):
+    """sigma_2 ends at E = 0.0 at these couplings.  The one-ulp proof once
+    stepped a root through its integer bits, which from +0.0 downwards
+    gives the bits of a NaN, so x_2 was evaluated at a NaN energy and
+    the proof there was skipped."""
+    energies, kernel = [], spectrum._half_trace
+
+    def logged(lam, E, k):
+        energies.append(E.copy())
+        return kernel(lam, E, k)
+
+    monkeypatch.setattr(spectrum, "_half_trace", logged)
+    hier = band_hierarchy(lam, 12)
+    assert 0.0 in np.concatenate([hier[2].lo, hier[2].hi])
+    assert all(np.all(np.isfinite(E)) for E in energies)
 
 
 def test_quarter_tol_proof_evaluates_one_far_point_per_root(monkeypatch):
@@ -594,7 +621,7 @@ def test_quarter_tol_proof_evaluates_one_far_point_per_root(monkeypatch):
     sign is known.  The tol/4 proof's one kernel call holds one point per
     root that reached it, tol/4 or less into the bracket, and never the
     root itself; evaluating both ends of the tol/4 window took two."""
-    lam, k, tol = 5.0, 12, 1e-12
+    lam, k, tol = 5.0, 12, spectrum.ENDPOINT_TOL
     rng = np.random.default_rng(25)
     level = band_hierarchy(lam, k)[k]
     ends = np.concatenate([level.lo, level.hi])
@@ -615,7 +642,7 @@ def test_quarter_tol_proof_evaluates_one_far_point_per_root(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_half_trace", logged)
     monkeypatch.setattr(spectrum, "_bisect_roots", no_bisection)
-    roots = spectrum._refine_roots(lam, k, lo, hi, xlo, xhi, shift, tol)
+    roots = spectrum._refine_roots(lam, k, lo, hi, xlo, xhi, shift)
     monkeypatch.undo()
 
     def above(E):
@@ -647,7 +674,7 @@ def test_endpoints_show_a_sign_change_within_quarter_tol(lam, k, residual):
     Each | |x_k(e)| - 1 | stays below ``residual``; bisection to tol left
     3.9e-6, 0.179 and 1.1e-8, and at (0.5, 18) some endpoints showed no
     sign change within tol/4."""
-    tol = 1e-12
+    tol = spectrum.ENDPOINT_TOL
     s = band_hierarchy(lam, k)[k]
     for end, outward in ((s.lo, -1.0), (s.hi, 1.0)):
         out = half_trace(lam, end + outward * tol / 4, k)
