@@ -207,13 +207,19 @@ def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
     plain bisection, from far fewer sweeps and pivot updates.
 
     A matrix of more than ``_EIGENSOLVE_SITE_CAP`` sites is refused with
-    SizeCapError before any count.
+    SizeCapError before any count, and one whose starting window
+    [-r, r], r = max|d| + 3, is wider than the largest double, with
+    ValueError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be finite and > 0")
     n = m.n
     _refuse_over_cap(n)
     radius = float(np.max(np.abs(m.diagonal))) + 2.0 + 1.0
+    if not math.isfinite(2.0 * radius):
+        raise ValueError(f"the eigenvalue window [{-radius:.3g}, {radius:.3g}] "
+                         "is wider than the largest double: the diagonal is "
+                         "past the precision floor")
     lo = np.full(n, -radius)
     hi = np.full(n, radius)
     ks = np.arange(n)

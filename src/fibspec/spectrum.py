@@ -447,8 +447,9 @@ def band_hierarchy(lam: float, k_max: int) -> BandHierarchy:
         raise ValueError("level must be >= 0")
     spacing = float(np.spacing(lam + 3.0))
     if ENDPOINT_TOL < spacing:
-        raise ValueError(f"tolerance {ENDPOINT_TOL:.3g} is below the float "
-                         f"spacing {spacing:.3g} of energies near {lam + 3.0:g}")
+        raise ValueError(f"coupling {lam:g} is past the precision floor: "
+                         f"energies near {lam + 3.0:g} are {spacing:.3g} apart, "
+                         f"more than the endpoint tolerance {ENDPOINT_TOL:.3g}")
     if k_max > _MAX_LEVEL:
         raise SizeCapError("band hierarchy levels", k_max + 1, _MAX_LEVEL + 1)
     window = IntervalSet([(-2.0 - lam - 1.0, 2.0 + lam + 1.0)])

@@ -1,5 +1,4 @@
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -200,8 +199,9 @@ def test_tol_below_float_spacing_exits_one(capsys):
     assert cli.main(["spectrum", "--lambda", "100000", "--k", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("fibspec: invalid arguments: tolerance 1e-12 is below the float "
-            "spacing 1.46e-11 of energies near 100003") in captured.err
+    assert ("fibspec: invalid arguments: coupling 100000 is past the "
+            "precision floor: energies near 100003 are 1.46e-11 apart, more "
+            "than the endpoint tolerance 1e-12") in captured.err
     assert cli.main(["spectrum", "--lambda", "1000", "--k", "2"]) == 0
     capsys.readouterr()
 
@@ -243,6 +243,22 @@ def test_oversized_scan_grid_exits_three(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("fibspec: size cap exceeded: scan grid points: "
                             "1000000000 items exceeds cap 10000000\n")
+
+
+def test_oversized_sweep_grid_exits_three(monkeypatch, capsys):
+    def no_point(**kwargs):
+        raise AssertionError("a grid point ran")
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid formed")
+    monkeypatch.setitem(cli._COMMANDS, "periodic", dataclasses.replace(
+        cli._COMMANDS["periodic"], payload=no_point))
+    monkeypatch.setattr(np, "linspace", no_grid)
+    assert cli.main(["sweep", "--command", "periodic", "--start", "0",
+                     "--stop", "1", "--count", "10001"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("fibspec: size cap exceeded: sweep grid points: "
+                            "10001 items exceeds cap 10000\n")
 
 
 def test_strong_coupling_sum_at_depth_16_answered(capsys):
@@ -428,14 +444,6 @@ def test_sweep_rows_in_grid_order(capsys):
     assert [r["a"] for r in doc["result"]["results"]] == doc["result"]["values"]
 
 
-def test_sweep_parallel_equals_serial(capsys):
-    base = ["sweep", "--command", "periodic", "--start", "0.1", "--stop",
-            "1.1", "--count", "4"]
-    _, serial = run(base + ["--jobs", "1"], capsys)
-    _, parallel = run(base + ["--jobs", "2"], capsys)
-    assert json.loads(serial)["result"] == json.loads(parallel)["result"]
-
-
 def test_float_formatting_is_shortest_exact():
     s = cli.to_json({"x": 0.1, "y": 1 / 3, "z": 1e300})
     parsed = json.loads(s)
@@ -558,6 +566,10 @@ REFUSALS_AND_CAVEATS = [  # (argv, exit code, stderr message or caveats)
     (["sweep", "--command", "dim", "--start", "6", "--stop", "6",
       "--count", "3", "--k", "7"], 1, "sweep needs start < stop"),
     (["oracle", "--lambda", "5", "--n", "0"], 1, "matrix size must be >= 1"),
+    # the eigensolver's starting window once overflowed into a traceback
+    (["oracle", "--lambda", "9e307", "--n", "3"], 1,
+     "the eigenvalue window [-9e+307, 9e+307] is wider than the largest "
+     "double: the diagonal is past the precision floor"),
     *[(["oracle", "--lambda", "5", "--n", "8", *k, "--dilate", eps], 1,
        "dilation must be finite and >= 0")
       for k in (["--k", "3"], []) for eps in ("nan", "inf", "-1")],
@@ -588,54 +600,6 @@ def test_refusals_and_caveats(argv, code, expected, capsys):
         assert json.loads(captured.out)["caveats"] == expected
         assert re.fullmatch(rf"fibspec: {argv[0]} finished in [0-9.]+ ms\n",
                             captured.err)
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the worker count and
-    maps in this process, so no process is ever started."""
-
-    requested: list = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("jobs, count, cpus, workers", [
-    ("100000", 3, 8, 3),
-    ("100000", 6, 4, 4),
-    ("3", 6, 4, 3),
-    ("100000", 6, None, None),
-    ("100000", 1, 8, None),
-    (None, 6, 4, None),  # no --jobs: serial
-])
-def test_sweep_workers_capped(jobs, count, cpus, workers, monkeypatch, capsys):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "requested", [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    base = ["sweep", "--command", "periodic", "--start", "0.1", "--stop",
-            "1.1", "--count", str(count)]
-    _, serial = run(base + ["--jobs", "1"], capsys)
-    _, out = run(base + ([] if jobs is None else ["--jobs", jobs]), capsys)
-    assert _SerialPool.requested == ([] if workers is None else [workers])
-    assert out == serial
-
-
-def test_sweep_refuses_jobs_below_one(capsys):
-    argv = ["sweep", "--command", "periodic", "--start", "0.1", "--stop",
-            "1.1", "--count", "2", "--jobs", "0"]
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "fibspec: invalid arguments: --jobs must be >= 1" in captured.err
 
 
 _LABELS = {"periodic": "a"}
@@ -730,6 +694,16 @@ def test_sweep_refuses_flag_the_command_does_not_take(name, extra, flag,
                             f"{name} does not take {flag}\n")
 
 
+def test_sweep_refuses_jobs(capsys):
+    # a sweep runs its grid points in order, in this process
+    assert cli.main(["sweep", "--command", "periodic", "--start", "0",
+                     "--stop", "1", "--count", "3", "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("fibspec: error: unrecognized arguments: --jobs 2"
+            in captured.err)
+
+
 def test_oracle_refuses_bad_level_before_the_eigensolve(monkeypatch, capsys):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigenvalues called before --k was checked")
@@ -804,18 +778,6 @@ def test_python_dash_m_runs_the_cli(capsys):
                           env={**os.environ, "PYTHONPATH": str(src)})
     code, out = run(argv, capsys)
     assert (proc.returncode, proc.stdout) == (code, out)
-
-
-def test_importing_the_cli_loads_no_process_pool():
-    """Only a sweep with more than one worker needs the process pool, so
-    importing the CLI must not pay for multiprocessing."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, fibspec.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 # ----------------------------------------------------------------------

@@ -308,3 +308,16 @@ def test_eigensolve_over_the_cap_refused_before_any_count(monkeypatch):
     with pytest.raises(SizeCapError) as refused:
         eigenvalues(fibonacci_tridiagonal(5.0, n))
     assert (refused.value.requested, refused.value.cap) == (n, n - 1)
+
+
+@pytest.mark.parametrize("lam", [9e307, 1e308, 1.7e308])
+def test_eigensolve_past_the_precision_floor_refused_before_any_count(
+        lam, monkeypatch):
+    """From max|d| ~ 9e307 on the starting window [-r, r] is wider than
+    the largest double; it once ended in an OverflowError from
+    math.ceil(inf)."""
+    def no_count(self, t):
+        raise AssertionError("a Sturm sweep ran")
+    monkeypatch.setattr(TridiagonalMatrix, "count_below", no_count)
+    with pytest.raises(ValueError, match="past the precision floor"):
+        eigenvalues(fibonacci_tridiagonal(lam, 3))

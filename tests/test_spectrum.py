@@ -571,11 +571,13 @@ def test_escalated_scan_memory_stays_small():
 
 def test_tol_below_float_spacing_refused():
     # doubles near 1e5 are 1.46e-11 apart, so no bracket reaches 1e-12
-    with pytest.raises(ValueError, match="tolerance 1e-12 is below the float "
-                                         "spacing 1.46e-11 of energies near 100003"):
+    with pytest.raises(ValueError, match="coupling 100000 is past the precision "
+                                         "floor: energies near 100003 are 1.46e-11 "
+                                         "apart, more than the endpoint tolerance "
+                                         "1e-12"):
         band_hierarchy(1e5, 2)
     # doubles in [8192, 16384) are 1.82e-12 apart, those below 8192 half that
-    with pytest.raises(ValueError, match="float spacing 1.82e-12"):
+    with pytest.raises(ValueError, match="are 1.82e-12 apart"):
         band_hierarchy(8189.0, 2)
     assert len(band_hierarchy(np.nextafter(8189.0, 0.0), 2)[2]) == 2
 
