@@ -6,7 +6,7 @@ a linear-IFS sandbox, and closed-form periodic-orbit data.
 
 from .dimension import (DimensionEstimate, box_count, box_dim_regression,
                         solve_partition_exponent)
-from .errors import BandIsolationError, EigenvalueSeparationError, SizeCapError
+from .errors import BandIsolationError, SizeCapError
 from .hamiltonian import (ALPHA, TridiagonalMatrix, eigenvalues,
                           fibonacci_tridiagonal)
 from .ifs import (LinearIFS, ResonanceVerdict, attractor_cover,
@@ -25,7 +25,6 @@ __all__ = [
     "BandHierarchy",
     "BandIsolationError",
     "DimensionEstimate",
-    "EigenvalueSeparationError",
     "IntervalSet",
     "LinearIFS",
     "PeriodicPointInfo",

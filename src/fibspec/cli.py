@@ -19,7 +19,7 @@ every command is built where argv names none (no arguments, -h, an
 unknown name), and a usage line or error reads the same from either.
 
 Exit codes: 0 success, 1 invalid arguments or values, 2 numeric failure
-(band isolation, eigenvalue separation), 3 size cap exceeded.
+(band isolation), 3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BandIsolationError, EigenvalueSeparationError, SizeCapError
-from .hamiltonian import _refuse_over_cap, eigenvalues, fibonacci_tridiagonal
+from .errors import BandIsolationError, SizeCapError
+from .hamiltonian import _refuse_unsolvable, eigenvalues, fibonacci_tridiagonal
 from .ifs import LinearIFS, attractor_cover, log_ratio_resonance, similarity_dim
 from .intervals import IntervalSet
 from .periodic import log_ratio, orbit_info, scan_exceptional
@@ -210,7 +210,9 @@ def _oracle_payload(lam: float, n: int, omega0: float, k: int | None,
     # refused before the matrix, the cover or the solve
     if not 0.0 <= dilate < math.inf:
         raise ValueError("dilation must be finite and >= 0")
-    _refuse_over_cap(n)
+    # |lam| bounds max|d|, and is max|d| for every box of two or more
+    # sites, since the word has no two 0s in a row
+    _refuse_unsolvable(n, abs(lam), tol)
     m = fibonacci_tridiagonal(lam, n, omega0)
     # the cover refuses a bad --k at once, before the eigensolve
     cover = None if k is None else band_hierarchy(lam, k + 1).cover(k).dilate(dilate)
@@ -628,7 +630,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         payload = command.payload(**kwargs)
-    except (BandIsolationError, EigenvalueSeparationError) as exc:
+    except BandIsolationError as exc:
         print(f"fibspec: numeric failure: {exc}", file=sys.stderr)
         return 2
     except SizeCapError as exc:

@@ -28,19 +28,6 @@ class BandIsolationError(RuntimeError):
         )
 
 
-class EigenvalueSeparationError(RuntimeError):
-    """Sturm bisection could not shrink an eigenvalue bracket to tolerance."""
-
-    def __init__(self, indices: list[int], width: float, tol: float):
-        self.indices = indices
-        self.width = width
-        self.tol = tol
-        super().__init__(
-            f"bisection stalled for eigenvalue indices {indices[:8]}"
-            f"{'...' if len(indices) > 8 else ''}: bracket width {width:.3e} > tol {tol:.3e}"
-        )
-
-
 class SizeCapError(RuntimeError):
     """A combinatorial intermediate would exceed its documented size cap."""
 

@@ -15,8 +15,9 @@ of 32, at two NumPy calls per site, and tallies the negative pivots once
 per block from the sign bits of their reciprocals, summed as uint8: a
 block has at most 32 negative pivots, so the tally is exact.  At 2584
 sites counted at 2584 points the block buffers take about 1.4 MB.  The
-eigensolver shares counts between brackets, stops at the first pass that
-moves none, and refuses a matrix of more than F_23 = 46368 sites.
+eigensolver shares counts between brackets, and refuses up front a matrix
+of more than F_23 = 46368 sites and a tolerance below the float spacing
+at its Gershgorin bound, which no bracket could reach.
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigenvalueSeparationError, SizeCapError
+from .errors import SizeCapError
 
 #: Inverse golden mean, the rotation number of the Fibonacci word.
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Bisection passes before ``eigenvalues`` reports unresolved indices.
-_MAX_PASSES = 200
 
 #: Fewest points one Sturm sweep of ``eigenvalues`` may count; the most is
 #: this or the matrix size, whichever is larger.
@@ -177,10 +175,34 @@ def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
     return np.concatenate(levels, axis=1)
 
 
-def _refuse_over_cap(n: int) -> None:
-    """SizeCapError when an n-site eigensolve exceeds _EIGENSOLVE_SITE_CAP."""
+def _refuse_unsolvable(n: int, bound: float, tol: float) -> None:
+    """Every up-front refusal of an eigensolve of n sites whose diagonal has
+    max|d| = bound, to width ``tol``, made before any count.
+
+    ValueError for a tolerance that is not finite and > 0; SizeCapError for
+    more than ``_EIGENSOLVE_SITE_CAP`` sites; ValueError, naming the
+    precision floor, for a starting window [-r, r], r = bound + 3, wider
+    than the largest double, and for ``tol`` below np.spacing(bound + 2),
+    the float spacing at the Gershgorin bound on every eigenvalue.  Above
+    that floor every bracket wider than ``tol`` holds a float strictly
+    inside, so each bisection pass moves every unfinished bracket and the
+    solve ends within about log2(2r / tol) + 2 passes.  A NaN bound is
+    left to the caller's own check of the diagonal.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and > 0")
     if n > _EIGENSOLVE_SITE_CAP:
         raise SizeCapError("eigensolve matrix sites", n, _EIGENSOLVE_SITE_CAP)
+    radius = bound + 2.0 + 1.0
+    if 2.0 * radius == math.inf:
+        raise ValueError(f"the eigenvalue window [{-radius:.3g}, {radius:.3g}] "
+                         "is wider than the largest double: the diagonal is "
+                         "past the precision floor")
+    floor = float(np.spacing(bound + 2.0))
+    if tol < floor:
+        raise ValueError(f"eigensolver tolerance {tol:.3g} is past the precision "
+                         f"floor: energies near {bound + 2.0:g} are {floor:.3g} "
+                         "apart")
 
 
 def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
@@ -188,12 +210,8 @@ def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
 
     Bisection on the Sturm count runs for every index simultaneously: each
     pass halves every bracket at its midpoint, until all brackets are at
-    most ``tol`` wide.  If 200 passes cannot reach ``tol`` (tolerance below
-    the floating floor, or a pathological cluster), the unresolved indices
-    are reported in an EigenvalueSeparationError.  A pass that moves no
-    bracket, as once every bracket is one float wide, would repeat itself
-    on every later pass, so the solve stops there and reports the same
-    error as after 200 passes.
+    most ``tol`` wide.  A tolerance that no bracket could reach is refused
+    before any count, by ``_refuse_unsolvable``, so the passes always end.
 
     The Sturm counts are shared, after Barth, Martin and Wilkinson (1967).
     Indices whose brackets coincide, as many do in the early passes, need
@@ -205,28 +223,16 @@ def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
     depends only on its own point, and the tree points are formed exactly
     as the passes would form them, so the result is bit for bit that of
     plain bisection, from far fewer sweeps and pivot updates.
-
-    A matrix of more than ``_EIGENSOLVE_SITE_CAP`` sites is refused with
-    SizeCapError before any count, and one whose starting window
-    [-r, r], r = max|d| + 3, is wider than the largest double, with
-    ValueError.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and > 0")
     n = m.n
-    _refuse_over_cap(n)
-    radius = float(np.max(np.abs(m.diagonal))) + 2.0 + 1.0
-    if not math.isfinite(2.0 * radius):
-        raise ValueError(f"the eigenvalue window [{-radius:.3g}, {radius:.3g}] "
-                         "is wider than the largest double: the diagonal is "
-                         "past the precision floor")
+    bound = float(np.max(np.abs(m.diagonal)))
+    _refuse_unsolvable(n, bound, tol)
+    radius = bound + 2.0 + 1.0
     lo = np.full(n, -radius)
     hi = np.full(n, radius)
     ks = np.arange(n)
     levels_left = 0
-    for passes in range(_MAX_PASSES):
-        if np.all(hi - lo <= tol):
-            break
+    while not np.all(hi - lo <= tol):
         if levels_left == 0:
             # Brackets stay sorted by index, so the distinct ones are runs.
             new = np.ones(n, dtype=bool)
@@ -238,24 +244,15 @@ def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
             budget = max(n, _SWEEP_POINTS_MIN)
             fits = (budget // starts.size + 1).bit_length() - 1
             needed = math.log2(float(np.max(hi - lo))) - math.log2(tol)
-            levels_left = max(1, min(fits, math.ceil(needed),
-                                     _MAX_PASSES - passes))
+            levels_left = max(1, min(fits, math.ceil(needed)))
             tree = _midpoint_tree(lo[starts], hi[starts], levels_left)
             counts = m.count_below(tree.ravel()).reshape(tree.shape)
             node = np.zeros(n, dtype=np.intp)
         mid = 0.5 * (lo + hi)
         # eigenvalue k >= mid exactly when at most k eigenvalues lie below
         go_up = counts[bracket, node] <= ks
-        new_lo = np.where(go_up, mid, lo)
-        new_hi = np.where(go_up, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break  # a pass that moves no bracket repeats itself for ever
-        lo, hi = new_lo, new_hi
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
         node = 2 * node + 1 + go_up
         levels_left -= 1
-    width = hi - lo
-    if np.any(width > tol):
-        bad = np.flatnonzero(width > tol)
-        raise EigenvalueSeparationError(bad.tolist(), float(width.max()), tol)
     return np.sort(0.5 * (lo + hi))
-

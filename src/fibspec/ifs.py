@@ -95,12 +95,17 @@ class ResonanceVerdict:
     ``numerator/denominator`` is p/q, the best rational approximation of
     ``value`` with denominator <= qmax (``Fraction.limit_denominator``),
     and ``error`` is |value - p/q|.  ``resonant`` means the ratio is
-    exactly rational at double precision: p/q rounds to ``value``, or
-    |value - p/q| * q**2 <= RESONANCE_TOL in exact rationals, so that the
-    continued fraction's next complete quotient is about 1/RESONANCE_TOL
-    or more.
-    A tiny error alone is never treated as resonance: excellent rational
-    approximations of irrational ratios are the expected behaviour.
+    exactly rational at double precision, decided in exact rationals:
+    |value - p/q| is within the rounding error of the computed quotient,
+    or |value - p/q| * q**2 <= RESONANCE_TOL, so that the continued
+    fraction's next complete quotient is about 1/RESONANCE_TOL or more.
+    To first order the rounding error is at most
+    2**-53 * value * (1/|log r1| + 1/|log r2| + 5): half an ulp of r1 or
+    r2 moves its log by up to 2**-53, each log is within one ulp, and the
+    division within half an ulp.  That covers a p/q which rounds to
+    ``value``.  A small error beyond both bounds is never treated as
+    resonance: excellent rational approximations of irrational ratios
+    are the expected behaviour.
     """
 
     value: float
@@ -117,9 +122,12 @@ def log_ratio_resonance(r1: float, r2: float, qmax: int = 10 ** 6) -> ResonanceV
         raise ValueError("contraction ratios must lie in (0, 1)")
     if qmax < 1:
         raise ValueError("qmax must be >= 1")
-    value = math.log(r1) / math.log(r2)
+    log_r1, log_r2 = math.log(r1), math.log(r2)
+    value = log_r1 / log_r2
+    rounding = 2.0 ** -53 * value * (1.0 / -log_r1 + 1.0 / -log_r2 + 5.0)
     exact = Fraction(value)
     best = exact.limit_denominator(int(qmax))
     p, q = best.numerator, best.denominator
-    resonant = p / q == value or abs(exact - best) * q * q <= RESONANCE_TOL
+    gap = abs(exact - best)
+    resonant = gap <= rounding or gap * q * q <= RESONANCE_TOL
     return ResonanceVerdict(value, resonant, p, q, abs(value - p / q), int(qmax))

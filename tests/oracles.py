@@ -15,7 +15,7 @@ from fibspec import (IntervalSet, LinearIFS, Point3, TheoremReport,
                      apply_map, band_hierarchy, box_dim_regression,
                      fibonacci_number, invariant_gradient)
 from fibspec import cli, sumset
-from fibspec.errors import BandIsolationError, EigenvalueSeparationError
+from fibspec.errors import BandIsolationError
 from fibspec.spectrum import ENDPOINT_TOL, LADDER_LEVELS
 
 # Self-similar sets of known dimension for the IFS sandbox: log 2 / log 3,
@@ -118,7 +118,8 @@ def plain_bisection_eigenvalues(m, tol: float = 1e-10) -> np.ndarray:
     width = hi - lo
     if np.any(width > tol):
         bad = np.flatnonzero(width > tol)
-        raise EigenvalueSeparationError(bad.tolist(), float(width.max()), tol)
+        raise RuntimeError(f"bisection stalled for eigenvalue indices "
+                           f"{bad.tolist()}: bracket width {width.max():.3e}")
     return np.sort(0.5 * (lo + hi))
 
 

@@ -3,7 +3,8 @@
 by some module of ``src/fibspec`` besides ``__init__.py``, so no public
 name exists only for the tests.  And every public module-level function,
 class or constant is exported or used by the package, so no orphan is
-left behind when a name leaves ``__all__``."""
+left behind when a name leaves ``__all__``.  Every exported exception is
+raised by the package, so no failure type outlives its last ``raise``."""
 
 import ast
 import inspect
@@ -79,3 +80,17 @@ def test_every_public_definition_is_exported_or_used():
                if name not in fibspec.__all__ and name not in names
                and name not in attributes]
     assert orphans == []
+
+
+def test_every_exported_exception_is_raised_by_the_package():
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                raised.add(node.exc.func.id)
+    exceptions = [name for name in fibspec.__all__
+                  if inspect.isclass(getattr(fibspec, name))
+                  and issubclass(getattr(fibspec, name), BaseException)]
+    assert exceptions
+    assert sorted(set(exceptions) - raised) == []

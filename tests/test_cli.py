@@ -729,6 +729,29 @@ def test_oracle_over_the_site_cap_exits_three(monkeypatch, capsys):
             f"exceeds cap {n - 1}") in captured.err
 
 
+@pytest.mark.parametrize("argv, floor", [
+    (["oracle", "--lambda", "1e6", "--n", "2584"],
+     "eigensolver tolerance 1e-10 is past the precision floor: energies "
+     "near 1e+06 are 1.16e-10 apart"),
+    (["sweep", "--command", "oracle", "--start", "1", "--stop", "2",
+      "--count", "2", "--n", "5", "--tol", "1e-20"],
+     "eigensolver tolerance 1e-20 is past the precision floor: energies "
+     "near 3 are 4.44e-16 apart"),
+], ids=["oracle", "sweep"])
+def test_eigensolver_tolerance_below_the_floor_exits_one(argv, floor,
+                                                         monkeypatch, capsys):
+    """Refused before any Sturm count or band hierarchy; the first once
+    bisected for half a second and exited 2 on a stalled bracket."""
+    def nothing_run(*args, **kwargs):
+        raise AssertionError("ran before the tolerance was checked")
+    monkeypatch.setattr(hamiltonian.TridiagonalMatrix, "count_below", nothing_run)
+    monkeypatch.setattr(cli, "band_hierarchy", nothing_run)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fibspec: invalid arguments: {floor}\n"
+
+
 def test_weak_coupling_band_isolation_exits_two(capsys):
     assert cli.main(["spectrum", "--lambda", "0.01", "--k", "10"]) == 2
     captured = capsys.readouterr()
