@@ -16,7 +16,7 @@ from .periodic import (PeriodicPointInfo, log_ratio, orbit_info,
                        scan_exceptional)
 from .spectrum import BandHierarchy, band_hierarchy, fibonacci_number
 from .sumset import TheoremReport, check_theorem_rect, ladder_dimension
-from .tracemap import Point3, apply_map, invariant, invariant_gradient
+from .tracemap import Point3, apply_map, invariant
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "fibonacci_number",
     "fibonacci_tridiagonal",
     "invariant",
-    "invariant_gradient",
     "ladder_dimension",
     "log_ratio",
     "log_ratio_resonance",

@@ -285,7 +285,6 @@ def _orbit_dict(info) -> dict:
         "period": info.period,
         "multiplier_closed": info.multiplier_closed,
         "multiplier_numeric": info.multiplier_numeric,
-        "tangent_frame": [list(info.tangent_frame[0]), list(info.tangent_frame[1])],
     }
 
 

@@ -106,6 +106,13 @@ class ResonanceVerdict:
     ``value``.  A small error beyond both bounds is never treated as
     resonance: excellent rational approximations of irrational ratios
     are the expected behaviour.
+
+    The rounding error grows without limit as r1 or r2 nears 1, so
+    ``log_ratio_resonance`` refuses with a ValueError, before any
+    rational approximation, a ratio whose rounding error is at least
+    1/(2 qmax**2).  Two distinct fractions with denominators <= qmax are at
+    least 1/qmax**2 apart, so below that precision floor at most one of
+    them lies within the rounding error of ``value``.
     """
 
     value: float
@@ -117,7 +124,8 @@ class ResonanceVerdict:
 
 
 def log_ratio_resonance(r1: float, r2: float, qmax: int = 10 ** 6) -> ResonanceVerdict:
-    """Exact rationality test of log r1 / log r2 at denominators <= qmax."""
+    """Exact rationality test of log r1 / log r2 at denominators <= qmax;
+    a ValueError names the precision floor (see ``ResonanceVerdict``)."""
     if not (0.0 < r1 < 1.0 and 0.0 < r2 < 1.0):
         raise ValueError("contraction ratios must lie in (0, 1)")
     if qmax < 1:
@@ -125,6 +133,11 @@ def log_ratio_resonance(r1: float, r2: float, qmax: int = 10 ** 6) -> ResonanceV
     log_r1, log_r2 = math.log(r1), math.log(r2)
     value = log_r1 / log_r2
     rounding = 2.0 ** -53 * value * (1.0 / -log_r1 + 1.0 / -log_r2 + 5.0)
+    if 2 * Fraction(rounding) * qmax * qmax >= 1:
+        raise ValueError(
+            f"log ratio {value!r} is past the precision floor at qmax {qmax}: "
+            f"its rounding error {rounding:.3g} is at least half of 1/qmax**2, "
+            "the least distance between two fractions with denominators <= qmax")
     exact = Fraction(value)
     best = exact.limit_denominator(int(qmax))
     p, q = best.numerator, best.denominator

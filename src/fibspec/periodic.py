@@ -7,9 +7,11 @@ log-multipliers is 2/3 at a = 0 and varies with a, which is the quantity
 the parameter scan probes for rational values.
 
 Each family is declared once, in ``_FAMILIES``.  ``orbit_info(a)`` places
-both points, walks each orbit once to find its period, multiplies the
-differential along that same walk, and restricts the product to the
-tangent plane of the surface.  From a = 2.03e31 on, where the period-4
+both points, walks each orbit once to find its period, and multiplies the
+3x3 differential M along that same walk.  The map preserves I, so the
+gradient of I at the point is a left eigenvector of M with eigenvalue 1,
+and the other two eigenvalues are mu and 1/mu: the numeric multiplier is
+the largest |eigenvalue| of M.  From a = 2.03e31 on, where the period-4
 point's y-coordinate g reaches 2**52, -g + 0.5 is no longer a double, so
 the float orbit does not close; ``orbit_info`` refuses such an a as past
 the precision floor.
@@ -27,11 +29,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeCapError
-from .tracemap import Point3, apply_map, invariant, invariant_gradient
+from .tracemap import Point3, apply_map, invariant
 
 PERIOD_TOL = 1e-10
 PERIOD_MAX = 64
-GRADIENT_FLOOR = 1e-8
 # points of one scan grid: 80 MB, and about 2 min at 11.5 us a point on 2 vCPUs
 _SCAN_GRID_CAP = 10_000_000
 
@@ -44,8 +45,8 @@ def _require_surface_parameter(a: float) -> float:
 
 
 def _multiplier_p(g: float) -> float:
-    """The restricted 4-step differential at (-1/2, g, -1/2) has trace
-    T = 8g(1-2g)+1 (T <= -7 for a >= 0) and determinant 1, so the
+    """The 4-step differential at (-1/2, g, -1/2) has eigenvalues 1, mu
+    and 1/mu with mu + 1/mu = T = 8g(1-2g)+1 (T <= -7 for a >= 0), so the
     expanding eigenvalue has magnitude (|T| + sqrt(T^2 - 4))/2."""
     trace = 8.0 * g * (1.0 - 2.0 * g) + 1.0
     return (abs(trace) + math.sqrt(trace * trace - 4.0)) / 2.0
@@ -91,44 +92,23 @@ def _jacobian(p: Point3) -> np.ndarray:
     ])
 
 
-def _tangent_frame(p: Point3) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the plane orthogonal to the invariant's
-    gradient at p, built by Gram-Schmidt from the two coordinate axes
-    least aligned with the gradient.  Rejects surface singular points
-    (vanishing gradient), where no tangent plane exists."""
-    grad = invariant_gradient(p)
-    norm = float(np.linalg.norm(grad))
-    if norm < GRADIENT_FLOOR:
-        raise ValueError(
-            f"gradient {tuple(grad)} vanishes at {tuple(p)}: singular point "
-            "of the invariant surface, no tangent plane")
-    normal = grad / norm
-    axes = np.argsort(np.abs(grad), kind="stable")
-    e1 = np.zeros(3)
-    e1[axes[0]] = 1.0
-    u1 = e1 - np.dot(e1, normal) * normal
-    u1 /= np.linalg.norm(u1)
-    e2 = np.zeros(3)
-    e2[axes[1]] = 1.0
-    u2 = e2 - np.dot(e2, normal) * normal - np.dot(e2, u1) * u1
-    u2 /= np.linalg.norm(u2)
-    return u1, u2
-
-
-def _restricted_jacobian(orbit: list[Point3], frame: np.ndarray) -> np.ndarray:
-    """2x2 matrix of the differential along ``orbit``, in the tangent
-    frame (columns of ``frame``) at its closing point.  The map preserves
-    both the invariant and area, so the determinant has magnitude 1 up to
-    roundoff."""
+def _differential(orbit: list[Point3]) -> np.ndarray:
+    """3x3 differential of the map along ``orbit``, the product of
+    ``_jacobian`` at every point but the closing one."""
     m = np.eye(3)
     for q in orbit[:-1]:
         m = _jacobian(q) @ m
-    return frame.T @ m @ frame
+    return m
 
 
 @dataclass(frozen=True)
 class PeriodicPointInfo:
-    """One orbit's data: placement, period, and both multiplier routes."""
+    """One orbit's data: placement, period, and both multiplier routes.
+
+    ``multiplier_closed`` comes from the family's closed form, and
+    ``multiplier_numeric`` is the largest |eigenvalue| of the orbit's 3x3
+    differential, whose eigenvalues are mu, 1/mu and 1.
+    """
 
     a: float
     lam: float
@@ -136,7 +116,6 @@ class PeriodicPointInfo:
     period: int
     multiplier_closed: float
     multiplier_numeric: float
-    tangent_frame: tuple[tuple[float, float, float], tuple[float, float, float]]
 
     def __post_init__(self):
         if abs(invariant(self.point) - self.a) > 1e-12 * max(1.0, abs(self.a)):
@@ -155,16 +134,14 @@ def _orbit_info(a: float, x: float, g_of, multiplier) -> PeriodicPointInfo:
             f"the orbit of the periodic point {tuple(point)} does not close "
             f"to {PERIOD_TOL} in double precision: its coordinates are past "
             "the precision floor") from None
-    u1, u2 = _tangent_frame(point)
-    m = _restricted_jacobian(orbit, np.column_stack([u1, u2]))
     return PeriodicPointInfo(
         a=a,
         lam=2.0 * math.sqrt(a),
         point=point,
         period=len(orbit) - 1,
         multiplier_closed=multiplier(g),
-        multiplier_numeric=float(np.max(np.abs(np.linalg.eigvals(m)))),
-        tangent_frame=(tuple(u1), tuple(u2)),
+        multiplier_numeric=float(np.max(np.abs(np.linalg.eigvals(
+            _differential(orbit))))),
     )
 
 

@@ -17,8 +17,8 @@ whose forward orbit encodes the half-trace recursion of the associated
 quasiperiodic operator.  ``spectrum._half_trace`` runs that recursion
 along the spectral line for the band finder, vectorized over energies,
 on the doubled coordinates 2 l(E) = (E - lam, E, 2), where each step
-is t_{j+1} = t_j * t_{j-1} - t_{j-2}; the map, the invariant and its
-gradient here serve the periodic orbits.
+is t_{j+1} = t_j * t_{j-1} - t_{j-2}; the map and the invariant here
+serve the periodic orbits.
 Everything here is exact double-precision arithmetic; no randomness, no
 tolerance knobs.
 """
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,13 +55,3 @@ def invariant(p: Point3) -> float:
     """Fricke-Vogt invariant I(x, y, z) = x^2 + y^2 + z^2 - 2xyz - 1."""
     return p.x * p.x + p.y * p.y + p.z * p.z - 2.0 * p.x * p.y * p.z - 1.0
 
-
-def invariant_gradient(p: Point3) -> np.ndarray:
-    """Gradient of the invariant; normal to its level surface at p."""
-    return np.array(
-        [
-            2.0 * p.x - 2.0 * p.y * p.z,
-            2.0 * p.y - 2.0 * p.x * p.z,
-            2.0 * p.z - 2.0 * p.x * p.y,
-        ]
-    )

@@ -13,7 +13,7 @@ import numpy as np
 
 from fibspec import (IntervalSet, LinearIFS, Point3, TheoremReport,
                      apply_map, band_hierarchy, box_dim_regression,
-                     fibonacci_number, invariant_gradient)
+                     fibonacci_number)
 from fibspec import cli, sumset
 from fibspec.errors import BandIsolationError
 from fibspec.spectrum import ENDPOINT_TOL, LADDER_LEVELS
@@ -568,8 +568,8 @@ def point_q(a: float) -> Point3:
 
 
 def multiplier_p_closed(a: float) -> float:
-    """Unstable multiplier of the period-4 orbit: the restricted 4-step
-    differential has trace T = 8g(1-2g)+1 and determinant 1."""
+    """Unstable multiplier of the period-4 orbit: the 4-step differential
+    has eigenvalues 1, mu and 1/mu with mu + 1/mu = T = 8g(1-2g)+1."""
     g = g_p(a)
     trace = 8.0 * g * (1.0 - 2.0 * g) + 1.0
     return (abs(trace) + math.sqrt(trace * trace - 4.0)) / 2.0
@@ -604,6 +604,25 @@ def jacobian(p: Point3) -> np.ndarray:
     ])
 
 
+def inverse_jacobian(p: Point3) -> np.ndarray:
+    """Inverse of ``jacobian(p)``: the differential of the inverse map
+    (u, v, w) -> (v, w, 2vw - u) at f(p) = (., p.x, p.y)."""
+    return np.array([
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [-1.0, 2.0 * p.y, 2.0 * p.x],
+    ])
+
+
+def invariant_gradient(p: Point3) -> np.ndarray:
+    """Gradient of the invariant; normal to its level surface at p."""
+    return np.array([
+        2.0 * p.x - 2.0 * p.y * p.z,
+        2.0 * p.y - 2.0 * p.x * p.z,
+        2.0 * p.z - 2.0 * p.x * p.y,
+    ])
+
+
 def tangent_frame(p: Point3) -> tuple[np.ndarray, np.ndarray]:
     """Gram-Schmidt basis of the plane normal to the invariant's gradient,
     from the two coordinate axes least aligned with it."""
@@ -621,10 +640,9 @@ def tangent_frame(p: Point3) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
-def restricted_jacobian(p: Point3, n: int) -> np.ndarray:
-    """The n-step differential along the orbit of p, in the tangent frame
-    at p, walked afresh and checked to return within 1e-10."""
-    u1, u2 = tangent_frame(p)
+def differential(p: Point3, n: int) -> np.ndarray:
+    """The 3x3 n-step differential along the orbit of p, walked afresh and
+    checked to return within 1e-10."""
     orbit = [p]
     for _ in range(n):
         orbit.append(apply_map(orbit[-1]))
@@ -633,11 +651,17 @@ def restricted_jacobian(p: Point3, n: int) -> np.ndarray:
     m = np.eye(3)
     for q in orbit[:-1]:
         m = jacobian(q) @ m
-    frame = np.column_stack([u1, u2])
-    return frame.T @ m @ frame
+    return m
+
+
+def orbit_multiplier(p: Point3, n: int) -> float:
+    """Largest eigenvalue magnitude of the 3x3 n-step differential."""
+    return float(np.max(np.abs(np.linalg.eigvals(differential(p, n)))))
 
 
 def restricted_multiplier(p: Point3, n: int) -> float:
-    """Largest eigenvalue magnitude of the restricted n-step differential."""
-    eigs = np.linalg.eigvals(restricted_jacobian(p, n))
+    """Largest eigenvalue magnitude of the n-step differential restricted
+    to the tangent frame at p, a 2x2 matrix with eigenvalues mu and 1/mu."""
+    frame = np.column_stack(tangent_frame(p))
+    eigs = np.linalg.eigvals(frame.T @ differential(p, n) @ frame)
     return float(np.max(np.abs(eigs)))

@@ -559,6 +559,11 @@ REFUSALS_AND_CAVEATS = [  # (argv, exit code, stderr message or caveats)
      "contraction ratios must lie in (0, 1)"),
     (["ifs", "--resonance", "0.2", "0.3", "--qmax", "0"], 1,
      "qmax must be >= 1"),
+    (["ifs", "--resonance", "0.5659086954503203", "0.9999998884825583",
+      "--qmax", "1000"], 1,
+     "log ratio 5105232.766256325 is past the precision floor at qmax 1000: "
+     "its rounding error 0.00508 is at least half of 1/qmax**2, the least "
+     "distance between two fractions with denominators <= qmax"),
     (["sweep", "--command", "dim", "--start", "6", "--stop", "8",
       "--count", "0", "--k", "7"], 1, "sweep needs at least one grid point"),
     (["sweep", "--command", "dim", "--start", "8", "--stop", "6",

@@ -1,5 +1,6 @@
 import math
 import operator
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,6 +123,32 @@ def test_exact_quotients_resonant_exactly_when_the_denominator_fits(monkeypatch)
                 assert v.resonant == (q <= qmax), (p, q, qmax)
                 if v.resonant:
                     assert (v.numerator, v.denominator, v.error) == (p, q, 0.0)
+
+
+# r2 near 1: log r2 carries few correct digits, and the computed log ratio
+# 5105232.77 has a rounding error of 5.08e-3
+_NEAR_ONE = (0.5659086954503203, 0.9999998884825583)
+
+
+@pytest.mark.parametrize("qmax", [10, 1000, 10 ** 6])
+def test_resonance_past_the_precision_floor_refused(qmax, monkeypatch):
+    """Twice the rounding error reaches 1/qmax**2, the least distance
+    between two fractions with denominators <= qmax, so no verdict: at
+    qmax 1000 the bound of 5.1e-3 called the ratio resonant with
+    2904877444/569.  The refusal comes before any rational approximation."""
+    def no_approximation(*args):
+        raise AssertionError("rational approximation formed")
+    monkeypatch.setattr(Fraction, "limit_denominator", no_approximation)
+    with pytest.raises(ValueError, match=rf"log ratio 5105232\.766256325 is "
+                                         rf"past the precision floor at qmax "
+                                         rf"{qmax}: its rounding error 0\.00508 "):
+        log_ratio_resonance(*_NEAR_ONE, qmax=qmax)
+
+
+def test_resonance_answers_just_below_the_precision_floor():
+    """2 * 5.08e-3 * 9**2 = 0.82 < 1 answers; qmax 10 gives 1.02."""
+    v = log_ratio_resonance(*_NEAR_ONE, qmax=9)
+    assert v.denominator <= 9
 
 
 def test_resonance_of_a_rounded_quotient():

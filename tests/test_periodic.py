@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from fibspec import (Point3, SizeCapError, invariant, invariant_gradient,
-                     log_ratio, orbit_info, scan_exceptional)
-from fibspec.periodic import (_SCAN_GRID_CAP, _jacobian, _orbit, _restricted_jacobian,
-                              _tangent_frame)
+from fibspec import (Point3, SizeCapError, invariant, log_ratio, orbit_info,
+                     scan_exceptional)
+from fibspec.periodic import _SCAN_GRID_CAP, _differential, _jacobian, _orbit
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -46,14 +45,16 @@ def test_minimal_periods():
         info_p, info_q = orbit_info(a)
         assert len(_orbit(info_p.point)) - 1 == info_p.period == 4
         assert len(_orbit(info_q.point)) - 1 == info_q.period == 6
+    # the fixed point, where the invariant's gradient vanishes
     assert _orbit(Point3(1, 1, 1)) == [Point3(1, 1, 1)] * 2
 
 
 def test_minimal_period_rejects_wandering_point():
     # The orbit overflows within 64 steps; that is no period either.  The
-    # walk comes before any matrix product, so nothing overflows in one
-    # (a RuntimeWarning is an error here).
-    with pytest.raises(ValueError, match="not periodic within 64 steps"):
+    # walk refuses it before any matrix product, so nothing overflows in
+    # one (a RuntimeWarning is an error here).
+    with pytest.raises(ValueError, match=r"point \(5\.0, 4\.0, 3\.0\) is not "
+                                         "periodic within 64 steps"):
         _orbit(Point3(5.0, 4.0, 3.0))
 
 
@@ -85,25 +86,36 @@ def test_jacobian_values_and_determinant():
         assert np.linalg.det(_jacobian(p)) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_tangent_frame_is_orthonormal_and_normal_to_gradient():
-    for a in (0.25, 1.0, 4.0):
-        for info in orbit_info(a):
-            u, v = _tangent_frame(info.point)
-            assert (tuple(u), tuple(v)) == info.tangent_frame
-            g = invariant_gradient(info.point)
-            assert abs(np.dot(u, v)) < 1e-12
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-            assert abs(np.dot(u, g)) < 1e-10
-            assert abs(np.dot(v, g)) < 1e-10
-
-
-def test_singular_surface_point_rejected():
-    """The invariant's gradient vanishes at the fixed point (1,1,1); there
-    is no well-defined tangent plane, so the restricted machinery refuses."""
-    assert len(_orbit(Point3(1, 1, 1))) - 1 == 1
-    with pytest.raises(ValueError, match="singular point"):
-        _tangent_frame(Point3(1, 1, 1))
+@pytest.mark.parametrize("a", [0.0, 0.25, 1.0, 4.0, 1e10])
+def test_orbit_differential_fixes_the_gradient_and_pairs_its_multipliers(a):
+    """M, the 3x3 differential along either orbit, has det 1 (an even
+    number of steps of det -1), the invariant's gradient at the point as a
+    left eigenvector with eigenvalue 1, and its other two eigenvalues
+    multiply to 1: the smallest is the reciprocal of the largest of M^-1,
+    the product of the exact inverse differentials."""
+    eps = np.finfo(float).eps
+    for info in orbit_info(a):
+        orbit = _orbit(info.point)
+        m = _differential(orbit)
+        norm = np.linalg.norm(m)
+        # LU rounding moves det M by about eps * |M| * |M^-1|, and M^-1
+        # is as large as M
+        assert abs(np.linalg.det(m) - 1.0) <= 16 * eps * norm ** 2
+        grad = oracles.invariant_gradient(info.point)
+        assert (np.linalg.norm(grad @ m - grad)
+                <= 16 * eps * norm * np.linalg.norm(grad))
+        eigs = np.linalg.eigvals(m)
+        unit = np.argmin(np.abs(eigs - 1.0))
+        assert abs(eigs[unit] - 1.0) <= 16 * eps * norm
+        big = eigs[np.argmax(np.abs(eigs))]
+        assert abs(big) == info.multiplier_numeric
+        inverse = np.eye(3)
+        for q in orbit[:-1]:
+            inverse = inverse @ oracles.inverse_jacobian(q)
+        assert np.linalg.norm(inverse @ m - np.eye(3)) <= 16 * eps * norm ** 2
+        inverse_eigs = np.linalg.eigvals(inverse)
+        reciprocal = inverse_eigs[np.argmax(np.abs(inverse_eigs))]
+        assert big / reciprocal == pytest.approx(1.0, rel=4e-15)
 
 
 def test_closed_form_multipliers_at_zero():
@@ -123,43 +135,28 @@ def test_closed_form_multiplier_at_one():
 
 
 def test_numeric_multipliers_match_closed_forms():
-    for a in (0.25, 1.0, 4.0):
+    """Over the whole accepted range: a = 0 and 400 log-spaced values up to
+    2e31, just below the precision floor at 2.03e31."""
+    for a in [0.0, *np.logspace(-12.0, math.log10(2e31), 400).tolist()]:
         for info in orbit_info(a):
-            rel = abs(info.multiplier_numeric - info.multiplier_closed)
-            assert rel <= 1e-8 * info.multiplier_closed
-
-
-def test_restricted_jacobian_is_area_preserving():
-    for a in (0.25, 1.0, 4.0):
-        for info in orbit_info(a):
-            frame = np.column_stack(_tangent_frame(info.point))
-            m = _restricted_jacobian(_orbit(info.point), frame)
-            assert abs(abs(np.linalg.det(m)) - 1.0) <= 1e-8
-
-
-def test_restricted_jacobian_rejects_escaping_point():
-    # The orbit overflows within 64 steps: the walk that feeds the
-    # restricted product refuses it as not periodic, before any matrix
-    # product overflows (a RuntimeWarning is an error here).
-    p = Point3(5.0, 4.0, 3.0)
-    with pytest.raises(ValueError, match=r"point \(5\.0, 4\.0, 3\.0\) is not "
-                                         "periodic within 64 steps"):
-        _restricted_jacobian(_orbit(p), np.column_stack(_tangent_frame(p)))
+            error = abs(info.multiplier_numeric - info.multiplier_closed)
+            assert error <= 4e-15 * info.multiplier_closed
 
 
 @pytest.mark.parametrize("a", [0.0, 0.25, 1.0, 4.0, 10.0, 123.456, 1e10, 1e30,
                                *np.linspace(0.0, 5.0, 21).tolist()])
 def test_orbit_info_bit_identical_to_reference(a):
-    """One walk per orbit gives the floats of the two-walk reference."""
+    """One walk per orbit gives the floats of the two-walk reference, and
+    the 3x3 route agrees with the tangent-frame 2x2 route."""
     reference = ((oracles.point_p(a), oracles.multiplier_p_closed(a), 4),
                  (oracles.point_q(a), oracles.multiplier_q_closed(a), 6))
     for info, (point, closed, n) in zip(orbit_info(a), reference):
         assert info.point == point
         assert info.period == oracles.minimal_period(point) == n
         assert info.multiplier_closed == closed
-        assert info.multiplier_numeric == oracles.restricted_multiplier(point, n)
-        u1, u2 = oracles.tangent_frame(point)
-        assert info.tangent_frame == (tuple(u1), tuple(u2))
+        assert info.multiplier_numeric == oracles.orbit_multiplier(point, n)
+        assert info.multiplier_numeric == pytest.approx(
+            oracles.restricted_multiplier(point, n), rel=4e-15)
     assert log_ratio(a) == (math.log(oracles.multiplier_p_closed(a))
                             / math.log(oracles.multiplier_q_closed(a)))
 
