@@ -671,6 +671,3 @@ def main(argv: list[str] | None = None) -> int:
           file=sys.stderr)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

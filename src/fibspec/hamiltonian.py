@@ -175,9 +175,10 @@ def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
     return np.concatenate(levels, axis=1)
 
 
-def _refuse_unsolvable(n: int, bound: float, tol: float) -> None:
+def _refuse_unsolvable(n: int, bound: float, tol: float) -> float:
     """Every up-front refusal of an eigensolve of n sites whose diagonal has
-    max|d| = bound, to width ``tol``, made before any count.
+    max|d| = bound, to width ``tol``, made before any count; returns the
+    radius r of the starting window [-r, r].
 
     ValueError for a tolerance that is not finite and > 0; SizeCapError for
     more than ``_EIGENSOLVE_SITE_CAP`` sites; ValueError, naming the
@@ -203,6 +204,7 @@ def _refuse_unsolvable(n: int, bound: float, tol: float) -> None:
         raise ValueError(f"eigensolver tolerance {tol:.3g} is past the precision "
                          f"floor: energies near {bound + 2.0:g} are {floor:.3g} "
                          "apart")
+    return radius
 
 
 def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
@@ -226,8 +228,7 @@ def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
     """
     n = m.n
     bound = float(np.max(np.abs(m.diagonal)))
-    _refuse_unsolvable(n, bound, tol)
-    radius = bound + 2.0 + 1.0
+    radius = _refuse_unsolvable(n, bound, tol)
     lo = np.full(n, -radius)
     hi = np.full(n, radius)
     ks = np.arange(n)
@@ -255,4 +256,4 @@ def eigenvalues(m: TridiagonalMatrix, tol: float = 1e-10) -> np.ndarray:
         hi = np.where(go_up, hi, mid)
         node = 2 * node + 1 + go_up
         levels_left -= 1
-    return np.sort(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)  # ascending, as the brackets are

@@ -1,9 +1,10 @@
 """Normalized finite unions of closed intervals on the real line.
 
 IntervalSet is the lingua franca between the band finder, the dimension
-estimators, the Minkowski-sum machinery and the IFS sandbox.  The
-normal form is: components sorted by left endpoint, pairwise disjoint,
-with touching endpoints merged (so hi[i] < lo[i+1] strictly), and zero
+estimators, the Minkowski-sum machinery and the IFS sandbox, which read
+its lo and hi arrays; it is neither iterable nor hashable.  The normal
+form is: components sorted by left endpoint, pairwise disjoint, with
+touching endpoints merged (so hi[i] < lo[i+1] strictly), and zero
 endpoints written +0.0.  Degenerate single-point components [a, a] are
 legal and preserved unless a merge swallows them.  Every constructor
 merges by sorting left and right endpoints apart (see _normalize).
@@ -18,7 +19,7 @@ same normal form.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -62,12 +63,6 @@ class IntervalSet:
     def __len__(self) -> int:
         return int(self.lo.size)
 
-    def __bool__(self) -> bool:
-        return self.lo.size > 0
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(zip(self.lo.tolist(), self.hi.tolist()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
@@ -76,16 +71,6 @@ class IntervalSet:
             and bool(np.all(self.lo == other.lo))
             and bool(np.all(self.hi == other.hi))
         )
-
-    def __hash__(self):
-        return hash((self.lo.tobytes(), self.hi.tobytes()))
-
-    def __repr__(self) -> str:
-        if len(self) <= 4:
-            body = ", ".join(f"[{a:g}, {b:g}]" for a, b in self)
-        else:
-            body = f"[{self.lo[0]:g}, {self.hi[0]:g}], ... , [{self.lo[-1]:g}, {self.hi[-1]:g}] ({len(self)} parts)"
-        return f"IntervalSet({body})"
 
     @property
     def lengths(self) -> np.ndarray:
@@ -116,10 +101,6 @@ class IntervalSet:
     # -- constructive ops ------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        if not self:
-            return other
-        if not other:
-            return self
         lo = np.concatenate([self.lo, other.lo])
         hi = np.concatenate([self.hi, other.hi])
         return IntervalSet.from_arrays(lo, hi)
@@ -128,8 +109,6 @@ class IntervalSet:
         """Closed eps-neighborhood (components may merge)."""
         if not 0.0 <= eps < np.inf:
             raise ValueError("dilation must be finite and >= 0")
-        if not self:
-            return self
         return IntervalSet.from_arrays(self.lo - eps, self.hi + eps)
 
 

@@ -104,10 +104,8 @@ LADDER_LEVELS = 4
 
 def fibonacci_number(k: int) -> int:
     """Degree of the half-trace polynomial x_k (F_0 = F_1 = 1)."""
-    if k < -1:
-        raise ValueError("index must be >= -1")
-    if k == -1:
-        return 0
+    if k < 0:
+        raise ValueError("index must be >= 0")
     a, b = 1, 1
     for _ in range(k):
         a, b = b, a + b

@@ -87,7 +87,8 @@ def _sum_chunks(a: IntervalSet, b: IntervalSet
     """All pairwise sums of components of a and b, merged, as (lo, hi)
     arrays of one merge window each, in order; refused when the pairs it
     forms exceed SUM_PAIR_CAP.  Nothing is formed, or refused, before the
-    first item is asked for.
+    first item is asked for.  Both operands are non-empty, as the callers'
+    hierarchy covers are: each is the union of two levels of F_j >= 1 bands.
 
     A self-sum (b is a) forms only the n(n+1)/2 pairs j >= i, and is
     charged that many against the cap: fl(a_i + a_j) == fl(a_j + a_i),
@@ -109,8 +110,6 @@ def _sum_chunks(a: IntervalSet, b: IntervalSet
     window is held back until the next window that keeps a component of
     its own has been merged; what is yielded is final.
     """
-    if not a or not b:
-        raise ValueError("a Minkowski sum requires two non-empty interval sets")
     n_pairs = _charged_pairs(a, b)
     if not (math.isfinite(float(a.lo[0]) + float(b.lo[0]))
             and math.isfinite(float(a.hi[-1]) + float(b.hi[-1]))):

@@ -459,6 +459,18 @@ def test_to_json_rejects_non_finite():
         cli.to_json({"x": math.nan})
 
 
+def test_to_json_refuses_an_unknown_type():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        cli.to_json(object())
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    argv = ["spectrum", "--lambda", "5", "--k", "2"]
+    want = run(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["fibspec", *argv])
+    assert run(None, capsys) == want
+
+
 # Doubles whose shortest and 17-digit forms differ, or that sit at the
 # ends of the range: signed zero, the least subnormal, the largest double.
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
@@ -667,6 +679,16 @@ def test_sweep_rows_equal_direct_runs(name, extra, capsys):
         _, direct = run([name, flag, repr(value)] + _SWEEPS[name][0] + extra,
                         capsys)
         assert row == json.loads(direct)["result"]
+
+
+def test_sweep_of_one_point_equals_the_direct_run(capsys):
+    """One grid point is the start value; stop may lie on either side."""
+    _, out = run(["sweep", "--command", "periodic", "--start", "0.75",
+                  "--stop", "0.25", "--count", "1"], capsys)
+    doc = json.loads(out)
+    assert doc["result"]["values"] == [0.75]
+    _, direct = run(["periodic", "--a", "0.75"], capsys)
+    assert doc["result"]["results"] == [json.loads(direct)["result"]]
 
 
 @pytest.mark.parametrize("name, flag", [

@@ -184,6 +184,9 @@ def test_regression_input_validation():
         box_dim_regression([unit] * 2, [0.5, 0.25])
     with pytest.raises(ValueError):
         box_dim_regression([unit] * 3, [0.5, 0.25])
+    empty = IntervalSet.from_arrays([], [])
+    with pytest.raises(ValueError, match="zero boxes"):
+        box_dim_regression([unit, unit, empty], [0.5, 0.25, 0.125])
 
 
 def test_regression_refuses_bad_scales_before_any_stream_advances():

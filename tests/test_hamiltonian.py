@@ -116,7 +116,20 @@ def test_eigenvalues_bit_identical_at_benchmark_sizes(lam, n, omega0, tol):
 
 def test_eigenvalues_bit_identical_on_many_valued_diagonal():
     m = TridiagonalMatrix(np.random.default_rng(5).uniform(-2, 2, size=60))
-    assert np.array_equal(eigenvalues(m), plain_bisection_eigenvalues(m))
+    evs = eigenvalues(m)
+    assert np.all(np.diff(evs) >= 0)  # ascending without a sort
+    assert np.array_equal(evs, plain_bisection_eigenvalues(m))
+
+
+@pytest.mark.parametrize("diagonal, message", [
+    (np.zeros(0), "non-empty 1-d array"),
+    (np.zeros((2, 2)), "non-empty 1-d array"),
+    (np.array([0.0, math.inf]), "must be finite"),
+    (np.array([math.nan, 1.0]), "must be finite"),
+], ids=["empty", "2-d", "inf", "nan"])
+def test_tridiagonal_refuses_bad_diagonal(diagonal, message):
+    with pytest.raises(ValueError, match=message):
+        TridiagonalMatrix(diagonal)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])

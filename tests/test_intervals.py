@@ -39,6 +39,24 @@ def test_empty_set_is_falsy():
     assert not s
     assert len(s) == 0
     assert s.total_length == 0.0
+    assert IntervalSet() == s
+    with pytest.raises(ValueError, match="empty interval set has no hull"):
+        s.hull
+    # an empty operand merges like any other
+    a = IntervalSet.from_arrays([0.0, 2.0], [1.0, 3.0])
+    assert s.union(a) == a and a.union(s) == a and s.union(s) == s
+    assert s.dilate(0.5) == s
+
+
+def test_pairs_constructor_refuses_a_flat_list():
+    with pytest.raises(ValueError, match="expected pairs of endpoints"):
+        IntervalSet([1.0, 2.0])
+
+
+def test_equality_with_another_type_is_false():
+    s = IntervalSet([(0.0, 1.0)])
+    assert s != object()
+    assert not s == object()
 
 
 def test_union():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -235,6 +236,15 @@ def test_orbit_info_bundles():
     _, info_q = orbit_info(0.25)
     assert info_q.period == 6
     assert info_q.multiplier_closed > 1
+
+
+def test_orbit_info_refuses_a_point_off_its_surface_or_not_hyperbolic():
+    info, _ = orbit_info(1.0)
+    with pytest.raises(ValueError, match=r"does not lie on the surface"):
+        dataclasses.replace(info, a=1.5)
+    for field in ("multiplier_closed", "multiplier_numeric"):
+        with pytest.raises(ValueError, match="must exceed 1"):
+            dataclasses.replace(info, **{field: 1.0})
 
 
 def test_scan_flags_the_two_thirds_ratio_near_zero():

@@ -30,6 +30,8 @@ def escape_index(lam, E, K):
 
 def test_fibonacci_degrees():
     assert [fibonacci_number(k) for k in range(9)] == [1, 1, 2, 3, 5, 8, 13, 21, 34]
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        fibonacci_number(-1)
 
 
 def test_half_traces_fixed_point():
